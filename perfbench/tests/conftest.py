@@ -1,0 +1,6 @@
+import sys
+from pathlib import Path
+
+# The benchmark's modules live one directory up and are run as scripts,
+# not installed; make them importable for the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
