@@ -1,7 +1,8 @@
 """Command-line frontend: eval, grid, check, tau, sample.
 
 Exit codes: 0 success, 1 failed validity check (``check`` only),
-2 usage or domain error, 3 numerical convergence failure.  All commands
+2 usage or domain error, 3 numerical convergence failure, 141 standard
+output closed early (a broken pipe, as after ``| head``).  All commands
 are deterministic given their full argument list; numeric output uses
 shortest round-trip decimals.
 """
@@ -9,6 +10,7 @@ shortest round-trip decimals.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -105,16 +107,37 @@ def _cmd_check(args) -> int:
 
 
 def _read_pairs(stream) -> np.ndarray:
+    """Parse ``u,v`` lines into an (n, 2) array with entries in [0, 1].
+
+    Blank lines and a ``u,...`` header are skipped; any other line that is
+    not two comma-separated numbers, or a pair outside [0, 1], raises
+    ``DomainError`` naming its line number.
+    """
     rows = []
-    for line in stream:
+    skipped = []  # line numbers of blank and header lines
+    for number, line in enumerate(stream, 1):
         line = line.strip()
         if not line or line.startswith("u,"):
+            skipped.append(number)
             continue
-        parts = line.split(",")
-        rows.append((float(parts[0]), float(parts[1])))
+        try:
+            u, v = line.split(",")
+            rows.append((float(u), float(v)))
+        except ValueError:
+            raise DomainError(
+                f"line {number}: expected two comma-separated numbers, got {line!r}"
+            ) from None
     if not rows:
         raise DomainError("no pairs on standard input")
-    return np.asarray(rows)
+    pairs = np.asarray(rows)
+    outside = np.flatnonzero(~((pairs >= 0.0) & (pairs <= 1.0)).all(axis=1))
+    if outside.size:
+        k = int(outside[0])
+        number = k + 1
+        for s in skipped:
+            number += s <= number
+        raise DomainError(f"line {number}: pair {rows[k]} is outside [0, 1]")
+    return pairs
 
 
 def _cmd_tau(args) -> int:
@@ -204,13 +227,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles usage errors with code 2
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except (DomainError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader left; send the unflushed rest to devnull so the
+        # interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13  # 141, as a shell reports a writer killed by SIGPIPE
 
 
 if __name__ == "__main__":

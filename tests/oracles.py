@@ -27,3 +27,15 @@ def central_first(f, x, h=1e-6):
 def central_second(f, x, h=5e-4):
     # h balances O(h^2) truncation against eps/h^2 cancellation noise
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+
+
+def concordance_diff_bruteforce(x, y):
+    """(#concordant - #discordant) over all i < j pairs, ties counting 0,
+    by comparing every pair: the O(n^2) definition, in exact integers."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    total = 0
+    for i in range(x.size - 1):
+        signs = np.sign(x[i + 1 :] - x[i]) * np.sign(y[i + 1 :] - y[i])
+        total += int(signs.sum())
+    return total

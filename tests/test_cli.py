@@ -1,6 +1,8 @@
 """Command-line interface contracts: formats, exit codes, determinism."""
 
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -131,6 +133,30 @@ class TestTau:
                                "--method", "mc")
         assert code == 2
 
+    @pytest.mark.parametrize("text,line", [
+        ("bad\n", 1),
+        ("u,v\n0.1;0.2\n", 2),
+        ("0.1,0.2\n0.5\n", 2),
+        ("0.1,0.2,0.3\n", 1),
+        ("u,v\n0.1,0.2\n\n1.5,0.2\n", 4),
+        ("0.1,0.2\n-0.001,0.2\n", 2),
+        ("0.1,nan\n", 1),
+        ("0.1,0.2\n\n\n0.3,inf\n", 4),
+    ])
+    def test_mc_malformed_stdin_exit_2(self, capsys, monkeypatch, text, line):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "tau", "--method", "mc")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: line {line}: ")
+        assert err.count("\n") == 1
+
+    def test_mc_empty_stdin_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("u,v\n\n"))
+        code, _, err = run_cli(capsys, "tau", "--method", "mc")
+        assert code == 2
+        assert "no pairs" in err
+
     def test_json_single_line_sorted(self, capsys):
         _, out, _ = run_cli(capsys, "tau", "--family", "gumbel", "--theta", "2",
                             "--method", "closed")
@@ -181,3 +207,16 @@ class TestDeterminismSubprocess:
                              capture_output=True, check=True).stdout
         doc = json.loads(tau)
         assert abs(doc["tau"] - 0.5) <= 3.0 * doc["error_bound"]
+
+    def test_closed_pipe_exit_141(self):
+        # The reader is gone before the command writes, as after `| head`.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                CLI + ["check", "--family", "f1", "--alpha", "0.5", "--grid-n", "20"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""

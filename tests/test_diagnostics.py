@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import archcop as ac
+from archcop._backend import concordance_diff
+from oracles import concordance_diff_bruteforce
 
 F12_ALPHAS = [0.1, 0.4, 0.6, 1.0]
 F3_ALPHAS = [0.1, 1.0, 10.0]
@@ -139,26 +142,58 @@ class TestTauMonteCarlo:
         assert abs(est.tau - 0.5) <= 3.0 * est.error_bound
         assert est.n == 20000
 
-    def test_backends_agree(self):
-        from archcop._tau_fallback import concordance_diff as numpy_kernel
-        from archcop._backend import concordance_diff as active_kernel
-
-        rng = np.random.default_rng(5)
-        x = rng.random(800)
-        y = rng.random(800)
-        assert active_kernel(x, y) == numpy_kernel(x, y)
-
     def test_size_guards(self):
-        pairs = np.random.default_rng(0).random((60001, 2))
+        x = np.linspace(0.0, 1.0, 60001)
+        assert ac.kendall_tau_mc(np.column_stack([x, x])).tau == 1.0
+        assert ac.kendall_tau_mc(np.column_stack([x, 1.0 - x])).tau == -1.0
+        pairs = np.random.default_rng(0).random((100, 2))
         with pytest.raises(ac.DomainError):
+            ac.kendall_tau_mc(pairs, block_count=20)  # n < 10*blocks
+        with pytest.raises(ac.DomainError):
+            ac.kendall_tau_mc(pairs, block_count=4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        pairs = np.random.default_rng(0).random((200, 2))
+        pairs[17, 1] = bad
+        with pytest.raises(ac.DomainError, match="finite"):
             ac.kendall_tau_mc(pairs)
-        with pytest.raises(ac.DomainError):
-            ac.kendall_tau_mc(pairs[:100], block_count=20)  # n < 10*blocks
-        with pytest.raises(ac.DomainError):
-            ac.kendall_tau_mc(pairs[:100], block_count=4)
 
     def test_json_shape(self):
         est = ac.kendall_tau_closed("f1", 0.3)
         doc = json.loads(est.to_json())
         assert set(doc) == {"tau", "method", "error_bound", "n", "note"}
         assert doc["tau"] == 0.7
+
+
+class TestConcordanceKernel:
+    """The merge count must give the exact integer of the O(n^2) definition."""
+
+    @staticmethod
+    def _data(kind, n, rng):
+        x, y = rng.random(n), rng.random(n)
+        if kind == "ties":
+            x, y = np.round(x, 1), np.round(y, 1)
+        elif kind == "constant":
+            x = np.full(n, 0.25)
+        elif kind == "duplicates":
+            half = (n + 1) // 2
+            x, y = np.repeat(x[:half], 2)[:n], np.repeat(y[:half], 2)[:n]
+            order = rng.permutation(n)
+            x, y = x[order], y[order]
+        return x, y
+
+    @pytest.mark.parametrize("kind", ["continuous", "ties", "constant", "duplicates"])
+    @pytest.mark.parametrize("n", [2, 3, 10, 255, 256, 257, 1000, 3001])
+    def test_matches_bruteforce(self, n, kind):
+        x, y = self._data(kind, n, np.random.default_rng(n))
+        got = concordance_diff(x, y)
+        assert type(got) is int
+        assert got == concordance_diff_bruteforce(x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=40))
+    def test_property_tie_heavy(self, rows):
+        xy = np.array(rows, dtype=float).reshape(-1, 2) / 4.0
+        x, y = xy[:, 0], xy[:, 1]
+        assert concordance_diff(x, y) == concordance_diff_bruteforce(x, y)
