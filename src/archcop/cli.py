@@ -23,27 +23,19 @@ from .diagnostics import (
     kendall_tau_mc,
     kendall_tau_quadrature,
 )
-from .families import FAMILIES, GUMBEL, INDEPENDENCE, DomainError, check_param, phi
+from .families import FAMILIES, TABLE, DomainError, Frailty, check_param, phi
 from .numerics import BracketError, ConvergenceError
 from .sampling import CONDITIONAL, FRAILTY, sample_conditional, sample_frailty_copula
 
 
 def _resolve_param(args) -> float | None:
     family = args.family
-    alpha = getattr(args, "alpha", None)
-    theta = getattr(args, "theta", None)
-    if family == GUMBEL:
-        if alpha is not None:
-            raise DomainError("family 'gumbel' takes --theta, not --alpha")
-        param = theta
-    elif family == INDEPENDENCE:
-        if alpha is not None or theta is not None:
-            raise DomainError("family 'independence' takes no parameter")
-        param = None
-    else:
-        if theta is not None:
-            raise DomainError(f"family {family!r} takes --alpha, not --theta")
-        param = alpha
+    name = TABLE[family].param
+    for flag in ("alpha", "theta"):
+        if flag != name and getattr(args, flag, None) is not None:
+            takes = f"--{name}, not --{flag}" if name else "no parameter"
+            raise DomainError(f"family {family!r} takes {takes}")
+    param = getattr(args, name) if name else None
     check_param(family, param)
     return param
 
@@ -58,8 +50,11 @@ def _write_text(out_path: str | None, text: str) -> None:
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from None
 
 
 def _cmd_eval(args) -> int:
@@ -81,8 +76,8 @@ def _cmd_grid(args) -> int:
     if args.what == "generator":
         z = (np.arange(n) + 0.5) / n
         lines.append("z,phi")
-        for zi in z:
-            lines.append(f"{float(zi)!r},{float(phi(args.family, param, zi))!r}")
+        for zi, fi in zip(z.tolist(), phi(args.family, param, z).tolist()):
+            lines.append(f"{zi!r},{fi!r}")
     else:
         if args.what == "cdf":
             pts = np.linspace(0.0, 1.0, n + 1)
@@ -165,7 +160,7 @@ def _cmd_tau(args) -> int:
 def _cmd_sample(args) -> int:
     param = _resolve_param(args)
     if args.method == FRAILTY:
-        if args.family != "f3":
+        if TABLE[args.family].kind is not Frailty:
             raise DomainError("--method frailty is only available for family f3")
         batch = sample_frailty_copula(param, args.n, args.seed)
     else:

@@ -1,33 +1,31 @@
 """Joint CDF, conditional partial derivative, and density of each family.
 
-All three quantities go through the single generator identity
+All three quantities come from the generator identity
 
     C(u, v) = psi(phi(u) + phi(v))
     dC/du   = psi'(phi(u) + phi(v)) * phi'(u)
     c(u, v) = psi''(phi(u) + phi(v)) * phi'(u) * phi'(v)
 
 with exact short-circuit branches on the boundary of the unit square.
+``f3`` is composed exactly so.  ``f1``, ``f2``, ``gumbel`` and
+``independence`` share the log-power kind phi = (c*(-ln z))**p, whose
+compositions are the Gumbel closed forms in log space: with x = -ln u,
+y = -ln v, big = max(x, y), r = min(x, y)/big and
+w = big*(1 + r**p)**(1/p),
+
+    C(u, v) = exp(-w)
+    dC/du   = exp(x - w) * (x/w)**(p-1)
+    c(u, v) = exp(x + y - w) * ((x/w)*(y/w))**(p-1) * (1 + (p-1)/w)
+
+which stay finite where phi itself under- or overflows double precision
+(the density takes its first two factors as one exp of summed logs).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .families import (
-    F1,
-    F2,
-    GUMBEL,
-    INDEPENDENCE,
-    DomainError,
-    check_param,
-    phi,
-    phi_prime,
-    psi,
-    psi_double_prime,
-    psi_prime,
-    _ret,
-    _unit,
-)
+from .families import LogPower, _ret, _unit, generator, psi_closed, zero_at_inf
 
 
 def _broadcast_unit(u, v, *, open_u=False, open_v=False):
@@ -37,6 +35,20 @@ def _broadcast_unit(u, v, *, open_u=False, open_v=False):
     return uu.copy(), vv.copy(), su and sv
 
 
+def _log_power_w(p: float, uu, vv):
+    """x, y and w = (x^p + y^p)^(1/p), factored by the larger term.
+
+    The generator scale c cancels in the compositions, and factoring out
+    the larger of x and y keeps the sum finite for exponents where
+    (-c ln z)^p itself under- or overflows double precision.
+    """
+    x = -np.log(uu)
+    y = -np.log(vv)
+    big = np.maximum(x, y)
+    r = np.minimum(x, y) / big
+    return x, y, big * np.exp(np.log1p(r**p) / p)
+
+
 def cdf(family: str, param: float | None, u, v):
     """Copula value C(u, v); symmetric in its arguments.
 
@@ -44,7 +56,7 @@ def cdf(family: str, param: float | None, u, v):
     whenever a coordinate is 0, and equals the other coordinate whenever
     a coordinate is 1.
     """
-    check_param(family, param)
+    g = generator(family, param)
     uu, vv, scalar = _broadcast_unit(u, v)
     out = np.empty_like(uu)
     zero = (uu == 0.0) | (vv == 0.0)
@@ -55,40 +67,12 @@ def cdf(family: str, param: float | None, u, v):
     out[vedge] = vv[vedge]
     m = ~(zero | uedge | vedge)
     if m.any():
-        p = _log_power_exponent(family, param)
-        if p is not None:
-            out[m] = _log_power_cdf(p, uu[m], vv[m])
+        a, b = uu[m], vv[m]
+        if isinstance(g, LogPower):
+            out[m] = np.exp(-_log_power_w(g.p, a, b)[2])
         else:
-            t = phi(family, param, uu[m]) + phi(family, param, vv[m])
-            out[m] = psi(family, param, t)
+            out[m] = psi_closed(g, g.phi(a) + g.phi(b))
     return _ret(out, scalar)
-
-
-def _log_power_exponent(family: str, param) -> float | None:
-    """Power p for families whose generator is (c * (-ln z))**p, else None."""
-    if family == F1:
-        return 1.0 / param
-    if family == F2:
-        return 1.0 / (param * param)
-    if family == GUMBEL:
-        return float(param)
-    if family == INDEPENDENCE:
-        return 1.0
-    return None
-
-
-def _log_power_cdf(p: float, uu, vv):
-    """C = exp(-((-ln u)^p + (-ln v)^p)^(1/p)), computed in log space.
-
-    The generator scale c cancels in the composition, and factoring out
-    the larger of the two terms keeps the sum finite for exponents where
-    (-c ln z)^p itself under- or overflows double precision.
-    """
-    x = -np.log(uu)
-    y = -np.log(vv)
-    big = np.maximum(x, y)
-    r = np.minimum(x, y) / big
-    return np.exp(-big * np.exp(np.log1p(r**p) / p))
 
 
 def partial_u(family: str, param: float | None, u, v):
@@ -97,7 +81,7 @@ def partial_u(family: str, param: float | None, u, v):
     Equals 0 at v=0 and 1 at v=1 (exact branches); clipped to [0,1]
     against sub-ulp rounding excursions.
     """
-    check_param(family, param)
+    g = generator(family, param)
     uu, vv, scalar = _broadcast_unit(u, v, open_u=True)
     out = np.empty_like(uu)
     lo = vv == 0.0
@@ -106,44 +90,27 @@ def partial_u(family: str, param: float | None, u, v):
     out[hi] = 1.0
     m = ~(lo | hi)
     if m.any():
-        t = phi(family, param, uu[m]) + phi(family, param, vv[m])
-        out[m] = psi_prime(family, param, t) * phi_prime(family, param, uu[m])
+        a, b = uu[m], vv[m]
+        if isinstance(g, LogPower):
+            x, _, w = _log_power_w(g.p, a, b)
+            out[m] = np.exp(x - w) * (x / w) ** (g.p - 1.0)
+        else:
+            out[m] = zero_at_inf(g.psi_prime, g.phi(a) + g.phi(b)) * g.phi_prime(a)
     np.clip(out, 0.0, 1.0, out=out)
     return _ret(out, scalar)
 
 
 def density(family: str, param: float | None, u, v):
     """Copula density c(u, v) at an interior point; non-negative."""
-    check_param(family, param)
+    g = generator(family, param)
     uu, vv, scalar = _broadcast_unit(u, v, open_u=True, open_v=True)
-    t = phi(family, param, uu) + phi(family, param, vv)
-    out = (
-        psi_double_prime(family, param, t)
-        * phi_prime(family, param, uu)
-        * phi_prime(family, param, vv)
-    )
-    return _ret(np.atleast_1d(out), scalar)
-
-
-def reference_gumbel_cdf(theta: float, u, v):
-    """Gumbel copula exp(-[(-ln u)^theta + (-ln v)^theta]^(1/theta)).
-
-    Independent oracle: evaluated directly, not through the generic
-    generator path, so it can cross-check ``cdf``.
-    """
-    if theta is None or not theta >= 1.0:
-        raise DomainError("theta out of domain [1,inf) for family 'gumbel'")
-    uu, vv, scalar = _broadcast_unit(u, v)
-    out = np.empty_like(uu)
-    zero = (uu == 0.0) | (vv == 0.0)
-    out[zero] = 0.0
-    uedge = (vv == 1.0) & ~zero
-    out[uedge] = uu[uedge]
-    vedge = (uu == 1.0) & ~zero & ~uedge
-    out[vedge] = vv[vedge]
-    m = ~(zero | uedge | vedge)
-    if m.any():
-        a = (-np.log(uu[m])) ** theta
-        b = (-np.log(vv[m])) ** theta
-        out[m] = np.exp(-((a + b) ** (1.0 / theta)))
+    if isinstance(g, LogPower):
+        p = g.p
+        x, y, w = _log_power_w(p, uu, vv)
+        # one exp of the summed logs: the factors exp(x + y - w) and
+        # ((x/w)*(y/w))**(p-1) can over- and underflow where c does not
+        out = np.exp(x + y - w + (p - 1.0) * np.log((x / w) * (y / w))) * (1.0 + (p - 1.0) / w)
+    else:
+        t = g.phi(uu) + g.phi(vv)
+        out = zero_at_inf(g.psi_double_prime, t) * g.phi_prime(uu) * g.phi_prime(vv)
     return _ret(out, scalar)

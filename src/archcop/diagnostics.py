@@ -11,23 +11,19 @@ samples, counted in O(n log n) by Knight's merge (``_backend``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._backend import concordance_diff
 from .copula import cdf
 from .families import (
-    F1,
-    F2,
-    F3,
-    GUMBEL,
-    INDEPENDENCE,
+    TABLE,
     ConditionReport,
     DomainError,
     check_generator_conditions,
     check_param,
-    generator_ratio,
+    generator,
 )
 from .numerics import ConvergenceError, adaptive_quad
 
@@ -36,11 +32,6 @@ BOUNDARY_TOL = 1e-12
 MARGIN_TOL = 1e-12
 CELL_VOLUME_TOL = -1e-12
 SINGULARITY_TOL = 1e-8
-
-# Kendall tau of the frailty-generated family: 1 + 4*I with
-# I = int_0^1 (5-s)*s*u^2/12 du, s = sqrt(1+24/u), evaluated to 16 digits
-# with high-precision quadrature.  Independent of alpha.
-F3_TAU = 0.2030890090900434
 
 
 @dataclass
@@ -52,16 +43,7 @@ class TauEstimate:
     note: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tau": self.tau,
-                "method": self.method,
-                "error_bound": self.error_bound,
-                "n": self.n,
-                "note": self.note,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass
@@ -82,27 +64,14 @@ class ValidityReport:
         return all(self.passed.values())
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": self.family,
-                "alpha": self.alpha,
-                "grid_n": self.grid_n,
-                "boundary_max_abs_err": self.boundary_max_abs_err,
-                "margin_max_abs_err": self.margin_max_abs_err,
-                "min_cell_volume": self.min_cell_volume,
-                "singularity_probes": [list(p) for p in self.singularity_probes],
-                "generator_conditions": self.generator_conditions.to_dict(),
-                "passed": self.passed,
-                "tolerances": self.tolerances,
-                "all_passed": self.all_passed,
-            },
-            sort_keys=True,
-        )
+        doc = {**asdict(self), "generator_conditions": self.generator_conditions.to_dict(),
+               "all_passed": self.all_passed}
+        return json.dumps(doc, sort_keys=True)
 
 
 def grid_validity_report(family: str, param: float | None, grid_n: int = 100) -> ValidityReport:
     """Audit C on the uniform (grid_n+1)^2 lattice over the closed square."""
-    check_param(family, param)
+    gen = generator(family, param)
     if grid_n < 3:
         raise DomainError("grid_n must be >= 3")
     g = np.linspace(0.0, 1.0, grid_n + 1)
@@ -113,7 +82,7 @@ def grid_validity_report(family: str, param: float | None, grid_n: int = 100) ->
     vol = C[1:, 1:] - C[1:, :-1] - C[:-1, 1:] + C[:-1, :-1]
     min_vol = float(vol.min())
     probe_u = 10.0 ** -np.arange(3, 10)
-    probes = [(float(x), float(generator_ratio(family, param, x))) for x in probe_u]
+    probes = [(float(x), float(gen.ratio(x))) for x in probe_u]
     conditions = check_generator_conditions(family, param, 64)
     limit = singularity_limit(family, param)
     passed = {
@@ -149,56 +118,28 @@ def singularity_limit(family: str, param: float | None) -> float:
     A copula generated by phi carries a singular component iff this limit
     is nonzero; the last (smallest-u) ratio is reported as the estimate.
     """
-    check_param(family, param)
-    ratios = [generator_ratio(family, param, 10.0**-k) for k in range(3, 13)]
+    gen = generator(family, param)
+    ratios = [gen.ratio(10.0**-k) for k in range(3, 13)]
     return float(ratios[-1])
 
 
 def kendall_tau_closed(family: str, param: float | None) -> TauEstimate:
     """Closed-form Kendall tau per family."""
     p = check_param(family, param)
-    if family == F1:
-        return TauEstimate(tau=1.0 - p, method="closed_form", error_bound=0.0,
-                           note="tau = 1 - alpha")
-    if family == F2:
-        return TauEstimate(
-            tau=1.0 - p * p,
-            method="closed_form",
-            error_bound=0.0,
-            note=(
-                "tau = 1 - alpha^2, confirmed by quadrature of the generator "
-                "ratio and by the Gumbel reduction; the originally stated "
-                "1 - 2*alpha^2 does not match the tau integral (errata)"
-            ),
-        )
-    if family == F3:
-        return TauEstimate(
-            tau=F3_TAU,
-            method="closed_form",
-            error_bound=1e-15,
-            note=(
-                "alpha-free constant 1 + 4*I, I = -0.19922777...; originally "
-                "rounded to 0.20332, and the alternative statements "
-                "1 - 2*alpha^2 and 0.32 do not match the tau integral (errata)"
-            ),
-        )
-    if family == GUMBEL:
-        return TauEstimate(tau=1.0 - 1.0 / p, method="closed_form", error_bound=0.0,
-                           note="tau = 1 - 1/theta")
-    return TauEstimate(tau=0.0, method="closed_form", error_bound=0.0,
-                       note="independence")
+    row = TABLE[family]
+    return TauEstimate(tau=row.tau(p), method="closed_form",
+                       error_bound=row.tau_error, note=row.tau_note)
 
 
 def kendall_tau_quadrature(
     family: str, param: float | None, abs_tol: float = 1e-9
 ) -> TauEstimate:
     """Kendall tau from tau = 1 + 4 * int_0^1 phi(u)/phi'(u) du."""
-    check_param(family, param)
+    gen = generator(family, param)
     if abs_tol < 1e-12:
         raise DomainError("abs_tol must be >= 1e-12")
-    res = adaptive_quad(
-        lambda z: generator_ratio(family, param, z), 0.0, 1.0, abs_tol
-    )
+    # the panel nodes never touch 0 or 1, so the unchecked ratio applies
+    res = adaptive_quad(gen.ratio, 0.0, 1.0, abs_tol)
     if not res.converged:
         raise ConvergenceError(
             f"tau quadrature did not converge (best estimate {1 + 4 * res.value})"

@@ -1,8 +1,6 @@
 """Shared numerical primitives with explicit tolerance contracts.
 
-Adaptive Gauss-Kronrod quadrature, monotone bisection, and the mixed
-central second difference used as an independent oracle for the copula
-density.
+Adaptive Gauss-Kronrod quadrature and monotone bisection.
 """
 
 from __future__ import annotations
@@ -204,15 +202,3 @@ def bisect_monotone_batch(
         if float((his - los).max()) <= abs_tol:
             return 0.5 * (los + his)
     raise ConvergenceError("bisection batch did not converge")
-
-
-def central_mixed_second(f, u: float, v: float, h: float) -> float:
-    """Mixed second difference (d2/dudv) of f at (u, v) with step h.
-
-    The 2x2 stencil must stay strictly inside the open unit square.
-    """
-    if not (0.0 < u - h and u + h < 1.0 and 0.0 < v - h and v + h < 1.0):
-        raise DomainError("finite-difference stencil leaves (0,1)^2")
-    return (
-        f(u + h, v + h) - f(u + h, v - h) - f(u - h, v + h) + f(u - h, v - h)
-    ) / (4.0 * h * h)

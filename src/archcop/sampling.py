@@ -52,6 +52,8 @@ class SampleBatch:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if not 0 <= seed < 2**128:
+        raise DomainError("seed out of domain [0, 2**128)")
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 

@@ -220,3 +220,39 @@ class TestDeterminismSubprocess:
             os.close(write_end)
         assert proc.returncode == 141
         assert proc.stderr == b""
+
+
+class TestBoundaryErrors:
+    """Bad seeds and unwritable --out paths are usage errors: exit 2 and
+    one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--family", "f1", "--alpha", "0.5", "--n", "10", "--seed", "-1"],
+        ["sample", "--family", "f3", "--alpha", "1", "--n", "10",
+         "--seed", str(2**128), "--method", "frailty"],
+        ["tau", "--family", "gumbel", "--theta", "2", "--method", "mc",
+         "--n", "300", "--seed", "-5"],
+    ])
+    def test_seed_out_of_range_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed out of domain [0, 2**128)\n"
+
+    def test_largest_seed_accepted(self, capsys):
+        code, _, _ = run_cli(capsys, "sample", "--family", "f1", "--alpha", "0.5",
+                             "--n", "10", "--seed", str(2**128 - 1))
+        assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--family", "f1", "--alpha", "0.5", "--n", "10", "--seed", "1"],
+        ["grid", "--family", "f2", "--alpha", "0.5", "--what", "cdf", "--grid-n", "5"],
+    ])
+    def test_out_in_missing_directory_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write --out {str(path)!r}: ")
+        assert err.count("\n") == 1
+        assert not path.parent.exists()
