@@ -31,12 +31,9 @@ from .families import (
     psi_prime,
 )
 from .numerics import (
-    BracketError,
     ConvergenceError,
     QuadratureResult,
-    RootResult,
     adaptive_quad,
-    bisect_monotone,
     bisect_monotone_batch,
 )
 from .sampling import (
@@ -59,16 +56,13 @@ __all__ = [
     "GUMBEL",
     "INDEPENDENCE",
     "DomainError",
-    "BracketError",
     "ConvergenceError",
     "ConditionReport",
     "QuadratureResult",
-    "RootResult",
     "SampleBatch",
     "TauEstimate",
     "ValidityReport",
     "adaptive_quad",
-    "bisect_monotone",
     "bisect_monotone_batch",
     "cdf",
     "check_generator_conditions",

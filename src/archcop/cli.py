@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
-from . import __version__
+from . import __version__, csvtext
 from .copula import cdf, density
 from .diagnostics import (
     grid_validity_report,
@@ -24,7 +25,7 @@ from .diagnostics import (
     kendall_tau_quadrature,
 )
 from .families import FAMILIES, TABLE, DomainError, Frailty, check_param, phi
-from .numerics import BracketError, ConvergenceError
+from .numerics import ConvergenceError
 from .sampling import CONDITIONAL, FRAILTY, sample_conditional, sample_frailty_copula
 
 
@@ -46,15 +47,17 @@ def _add_family_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float, default=None)
 
 
-def _write_text(out_path: str | None, text: str) -> None:
+def _write_out(out_path: str | None, write) -> None:
+    """Call ``write`` with standard output, or with the file ``--out``
+    names opened with ``newline=""``; an OSError there is a usage error."""
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out_path, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise DomainError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from None
+        write(sys.stdout)
+        return
+    try:
+        with open(out_path, "w", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from None
 
 
 def _cmd_eval(args) -> int:
@@ -72,12 +75,9 @@ def _cmd_grid(args) -> int:
     n = args.grid_n
     if n < 2:
         raise DomainError("--grid-n must be >= 2")
-    lines = []
     if args.what == "generator":
         z = (np.arange(n) + 0.5) / n
-        lines.append("z,phi")
-        for zi, fi in zip(z.tolist(), phi(args.family, param, z).tolist()):
-            lines.append(f"{zi!r},{fi!r}")
+        text = csvtext.table("z,phi", z, phi(args.family, param, z))
     else:
         if args.what == "cdf":
             pts = np.linspace(0.0, 1.0, n + 1)
@@ -85,12 +85,8 @@ def _cmd_grid(args) -> int:
         else:  # pdf, interior midpoints only
             pts = (np.arange(n) + 0.5) / n
             fn = density
-        lines.append("u,v,value")
-        for u in pts:
-            vals = fn(args.family, param, np.full(pts.shape, u), pts)
-            for v, w in zip(pts, np.atleast_1d(vals)):
-                lines.append(f"{float(u)!r},{float(v)!r},{float(w)!r}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+        text = csvtext.lattice("u,v,value", pts, partial(fn, args.family, param))
+    _write_out(args.out, lambda out: out.writelines(text))
     return 0
 
 
@@ -109,11 +105,10 @@ def _read_pairs(stream) -> np.ndarray:
     ``DomainError`` naming its line number.
     """
     rows = []
-    skipped = []  # line numbers of blank and header lines
+    numbers = []  # the input line of each row
     for number, line in enumerate(stream, 1):
         line = line.strip()
         if not line or line.startswith("u,"):
-            skipped.append(number)
             continue
         try:
             u, v = line.split(",")
@@ -122,16 +117,14 @@ def _read_pairs(stream) -> np.ndarray:
             raise DomainError(
                 f"line {number}: expected two comma-separated numbers, got {line!r}"
             ) from None
+        numbers.append(number)
     if not rows:
         raise DomainError("no pairs on standard input")
     pairs = np.asarray(rows)
     outside = np.flatnonzero(~((pairs >= 0.0) & (pairs <= 1.0)).all(axis=1))
     if outside.size:
         k = int(outside[0])
-        number = k + 1
-        for s in skipped:
-            number += s <= number
-        raise DomainError(f"line {number}: pair {rows[k]} is outside [0, 1]")
+        raise DomainError(f"line {numbers[k]}: pair {rows[k]} is outside [0, 1]")
     return pairs
 
 
@@ -165,7 +158,7 @@ def _cmd_sample(args) -> int:
         batch = sample_frailty_copula(param, args.n, args.seed)
     else:
         batch = sample_conditional(args.family, param, args.n, args.seed)
-    _write_text(args.out, batch.to_csv())
+    _write_out(args.out, batch.to_csv)
     return 0
 
 
@@ -225,7 +218,7 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
-    except (DomainError, BracketError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

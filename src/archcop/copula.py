@@ -7,9 +7,10 @@ All three quantities come from the generator identity
     c(u, v) = psi''(phi(u) + phi(v)) * phi'(u) * phi'(v)
 
 with exact short-circuit branches on the boundary of the unit square.
-``f3`` is composed exactly so.  ``f1``, ``f2``, ``gumbel`` and
-``independence`` share the log-power kind phi = (c*(-ln z))**p, whose
-compositions are the Gumbel closed forms in log space: with x = -ln u,
+``f3`` is composed exactly so, at alpha = 1, since its copula does not
+depend on alpha.  ``f1``, ``f2``, ``gumbel`` and ``independence`` share
+the log-power kind phi = (c*(-ln z))**p, whose compositions are the
+Gumbel closed forms in log space: with x = -ln u,
 y = -ln v, big = max(x, y), r = min(x, y)/big and
 w = big*(1 + r**p)**(1/p),
 
@@ -25,14 +26,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .families import LogPower, _ret, _unit, generator, psi_closed, zero_at_inf
+from .families import Frailty, LogPower, _ret, _unit, generator, psi_closed, zero_at_inf
+
+
+def _kind(family: str, param: float | None):
+    """The family's validated generator; ``f3``'s at alpha = 1, because
+    its copula does not depend on alpha and alpha = 1 needs no scaling."""
+    g = generator(family, param)
+    return g if isinstance(g, LogPower) else Frailty(1.0)
 
 
 def _broadcast_unit(u, v, *, open_u=False, open_v=False):
     uu, su = _unit(u, "u", open_interval=open_u)
     vv, sv = _unit(v, "v", open_interval=open_v)
     uu, vv = np.broadcast_arrays(uu, vv)
-    return uu.copy(), vv.copy(), su and sv
+    return uu, vv, su and sv
 
 
 def _log_power_w(p: float, uu, vv):
@@ -56,7 +64,7 @@ def cdf(family: str, param: float | None, u, v):
     whenever a coordinate is 0, and equals the other coordinate whenever
     a coordinate is 1.
     """
-    g = generator(family, param)
+    g = _kind(family, param)
     uu, vv, scalar = _broadcast_unit(u, v)
     out = np.empty_like(uu)
     zero = (uu == 0.0) | (vv == 0.0)
@@ -81,7 +89,7 @@ def partial_u(family: str, param: float | None, u, v):
     Equals 0 at v=0 and 1 at v=1 (exact branches); clipped to [0,1]
     against sub-ulp rounding excursions.
     """
-    g = generator(family, param)
+    g = _kind(family, param)
     uu, vv, scalar = _broadcast_unit(u, v, open_u=True)
     out = np.empty_like(uu)
     lo = vv == 0.0
@@ -102,7 +110,7 @@ def partial_u(family: str, param: float | None, u, v):
 
 def density(family: str, param: float | None, u, v):
     """Copula density c(u, v) at an interior point; non-negative."""
-    g = generator(family, param)
+    g = _kind(family, param)
     uu, vv, scalar = _broadcast_unit(u, v, open_u=True, open_v=True)
     if isinstance(g, LogPower):
         p = g.p

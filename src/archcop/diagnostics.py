@@ -113,14 +113,12 @@ def grid_validity_report(family: str, param: float | None, grid_n: int = 100) ->
 
 
 def singularity_limit(family: str, param: float | None) -> float:
-    """Estimate lim_{u->0} phi(u)/phi'(u) along u = 10^-k, k = 3..12.
+    """Estimate lim_{u->0} phi(u)/phi'(u) by the ratio at u = 1e-12.
 
     A copula generated by phi carries a singular component iff this limit
-    is nonzero; the last (smallest-u) ratio is reported as the estimate.
+    is nonzero.
     """
-    gen = generator(family, param)
-    ratios = [gen.ratio(10.0**-k) for k in range(3, 13)]
-    return float(ratios[-1])
+    return float(generator(family, param).ratio(1e-12))
 
 
 def kendall_tau_closed(family: str, param: float | None) -> TauEstimate:

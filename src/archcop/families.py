@@ -14,7 +14,9 @@ coefficients, and its closed-form Kendall tau.  There are two kinds.
     phi(z) = (alpha/2)*(sqrt(1 + 24/z) - 5), alpha > 0: family ``f3``.
     Its inverse psi(t) = 6*alpha**2 / ((t + 2*alpha)*(t + 3*alpha)) is the
     Laplace transform of a hypoexponential frailty law with rates 2*alpha
-    and 3*alpha.
+    and 3*alpha.  Since phi is alpha times its value at alpha = 1 and
+    psi(t) is psi at alpha = 1 of t/alpha, the copula does not depend on
+    alpha.
 
 All public functions accept floats or numpy arrays and are pure.  They
 validate the family, parameter and points once, handle the boundary
@@ -138,20 +140,24 @@ class Frailty(NamedTuple):
                - 0.5 * np.log1p(24.0 / z) - np.log(z + 24.0))
         return np.sign(a) * np.sign(z + 18.0), mag
 
+    # psi and its derivatives in s = t/a, so that no power of a is formed:
+    # 6a**2 and ((t + 2a)(t + 3a))**k under- and overflow at extreme a.
+    # The derivatives' quotients round to 0 once s passes about 1e77; s is
+    # capped at 1e100 so that a larger or infinite s cannot give inf/inf.
     def psi(self, t):
-        a = self.a
-        return 6.0 * a * a / ((t + 2.0 * a) * (t + 3.0 * a))
+        s = t / self.a
+        return 6.0 / ((s + 2.0) * (s + 3.0))
 
     def psi_prime(self, t):
-        a = self.a
-        q = (t + 2.0 * a) * (t + 3.0 * a)
-        return -6.0 * a * a * (2.0 * t + 5.0 * a) / (q * q)
+        s = np.minimum(t / self.a, 1e100)
+        q = (s + 2.0) * (s + 3.0)
+        return -6.0 * (2.0 * s + 5.0) / (q * q) / self.a
 
     def psi_double_prime(self, t):
-        a = self.a
-        q = (t + 2.0 * a) * (t + 3.0 * a)
-        d = 2.0 * t + 5.0 * a
-        return 12.0 * a * a * (d * d - q) / (q * q * q)
+        s = np.minimum(t / self.a, 1e100)
+        q = (s + 2.0) * (s + 3.0)
+        d = 2.0 * s + 5.0
+        return 12.0 * (d * d - q) / (q * q * q) / self.a / self.a
 
     def singular_at_zero(self) -> bool:
         return False
@@ -241,7 +247,7 @@ def _unit(x, name, *, open_interval=False):
     if bad.any():
         interval = "(0,1)" if open_interval else "[0,1]"
         raise DomainError(f"{name} out of domain {interval}")
-    return a.copy(), scalar
+    return a, scalar
 
 
 def _nonneg(x, name):
@@ -251,7 +257,7 @@ def _nonneg(x, name):
     a = np.atleast_1d(arr)
     if (~(a >= 0.0)).any():
         raise DomainError(f"{name} out of domain [0,inf]")
-    return a.copy(), scalar
+    return a, scalar
 
 
 def _ret(out, scalar):

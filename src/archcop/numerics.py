@@ -18,23 +18,11 @@ class ConvergenceError(RuntimeError):
     """A numerical routine failed to reach its requested tolerance."""
 
 
-class BracketError(ValueError):
-    """The root bracket does not contain the target value."""
-
-
 @dataclass
 class QuadratureResult:
     value: float
     abs_error_estimate: float
     evaluations: int
-    converged: bool
-
-
-@dataclass
-class RootResult:
-    root: float
-    residual: float
-    iterations: int
     converged: bool
 
 
@@ -133,50 +121,6 @@ def adaptive_quad(
     )
 
 
-def bisect_monotone(
-    g: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    abs_tol: float,
-    max_iter: int = 200,
-) -> RootResult:
-    """Solve g(x) = target for non-decreasing g on [lo, hi] by bisection.
-
-    Halves the bracket every iteration; stops once the bracket width or
-    the residual drops below ``abs_tol``.
-    """
-    if not lo < hi:
-        raise DomainError("require lo < hi")
-    glo = g(lo)
-    ghi = g(hi)
-    if not (glo <= target <= ghi):
-        raise BracketError(
-            f"target {target} outside bracket values [{glo}, {ghi}]"
-        )
-    iters = 0
-    resid = np.inf
-    mid = 0.5 * (lo + hi)
-    while iters < max_iter:
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        iters += 1
-        resid = gm - target
-        if abs(resid) <= abs_tol:
-            # mid itself meets the residual contract; keep it as the root
-            return RootResult(root=mid, residual=resid, iterations=iters,
-                              converged=True)
-        if gm < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= abs_tol:
-            break
-    root = 0.5 * (lo + hi)
-    converged = hi - lo <= abs_tol
-    return RootResult(root=root, residual=g(root) - target, iterations=iters, converged=converged)
-
-
 def bisect_monotone_batch(
     g: Callable[[np.ndarray], np.ndarray],
     targets: np.ndarray,
@@ -185,11 +129,11 @@ def bisect_monotone_batch(
     abs_tol: float,
     max_iter: int = 200,
 ) -> np.ndarray:
-    """Vectorised bisection: solve g(x_i) = targets_i elementwise.
+    """Vectorised bisection: solve g(x_i) = targets_i elementwise for
+    non-decreasing g on [lo, hi].
 
-    Same halving schedule as ``bisect_monotone``, applied to the whole
-    batch at once; terminates when every bracket is narrower than
-    ``abs_tol``.
+    Halves every bracket at once; terminates when every bracket is
+    narrower than ``abs_tol``.
     """
     t = np.asarray(targets, dtype=float)
     los = np.full_like(t, lo)

@@ -15,11 +15,11 @@ draws use inverse-CDF (-log1p(-U)) for cross-platform reproducibility.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import csvtext
 from .copula import partial_u
 from .families import DomainError, F3, check_param, psi
 from .numerics import bisect_monotone_batch
@@ -39,16 +39,15 @@ class SampleBatch:
     seed: int
     method: str
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("u,v\n")
-        for u, v in self.pairs:
-            buf.write(f"{float(u)!r},{float(v)!r}\n")
-        return buf.getvalue()
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
+    def to_csv(self, out=None) -> str | None:
+        """The pairs as CSV text (see ``csvtext``) under a ``u,v`` header:
+        written to the text stream ``out`` block by block, or returned
+        whole when there is no ``out``."""
+        text = csvtext.table("u,v", self.pairs[:, 0], self.pairs[:, 1])
+        if out is None:
+            return "".join(text)
+        out.writelines(text)
+        return None
 
 
 def _rng(seed: int) -> np.random.Generator:

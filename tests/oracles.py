@@ -2,13 +2,17 @@
 
 These deliberately avoid the production code paths they check: the
 reduced f3 form is hand-derived algebra, the finite-difference helpers
-differentiate the CDF directly, and the Gumbel references evaluate the
-closed form directly rather than through the generator composition.
+differentiate the CDF directly, the Gumbel references evaluate the
+closed form directly rather than through the generator composition, and
+the CSV references format element by element, without ``csvtext``.
 """
+
+import io
 
 import mpmath
 import numpy as np
 
+from archcop import cdf, density, phi
 from archcop.copula import _broadcast_unit
 from archcop.families import DomainError, _ret
 
@@ -99,3 +103,49 @@ def gumbel_mp(theta, u, v):
         du = c / u * x ** (t - 1) * s ** (1 / t - 1)
         pdf = c / (u * v) * (x * y) ** (t - 1) * s ** (2 / t - 2) * (1 + (t - 1) * s ** (-1 / t))
         return c, du, pdf
+
+
+def grid_csv_loops(family, param, what: str, n: int) -> str:
+    """Reference text of ``archcop grid``: one ``float(x)!r`` per element
+    and the rows joined at the end, with none of ``csvtext``'s blocks,
+    labels or ``tolist()``."""
+    lines = []
+    if what == "generator":
+        z = (np.arange(n) + 0.5) / n
+        lines.append("z,phi")
+        for zi, fi in zip(z.tolist(), phi(family, param, z).tolist()):
+            lines.append(f"{zi!r},{fi!r}")
+    else:
+        if what == "cdf":
+            pts = np.linspace(0.0, 1.0, n + 1)
+            fn = cdf
+        else:
+            pts = (np.arange(n) + 0.5) / n
+            fn = density
+        lines.append("u,v,value")
+        for u in pts:
+            vals = fn(family, param, np.full(pts.shape, u), pts)
+            for v, w in zip(pts, np.atleast_1d(vals)):
+                lines.append(f"{float(u)!r},{float(v)!r},{float(w)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def pairs_csv_loop(pairs) -> str:
+    """Reference text of ``SampleBatch.to_csv``: one ``float(x)!r`` per
+    element, in a loop over the rows of ``pairs``."""
+    lines = ["u,v\n"]
+    for u, v in pairs:
+        lines.append(f"{float(u)!r},{float(v)!r}\n")
+    return "".join(lines)
+
+
+class LineCountingStream(io.StringIO):
+    """A text stream that records how many lines each write carried."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def write(self, text):
+        self.lines.append(text.count("\n"))
+        return super().write(text)

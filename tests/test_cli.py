@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from archcop.cli import main
+from oracles import LineCountingStream, grid_csv_loops
 
 CLI = [sys.executable, "-m", "archcop.cli"]
 
@@ -77,16 +78,15 @@ class TestGrid:
                    for r in rows)
 
     def test_f3_cdf_grid_alpha_invariant(self, capsys, tmp_path):
-        files = []
-        for alpha in ("0.1", "10"):
+        texts = []
+        for alpha in ("0.1", "10", "1e-300", "1e300"):
             f = tmp_path / f"cdf{alpha}.csv"
             assert run_cli(capsys, "grid", "--family", "f3", "--alpha", alpha,
                            "--what", "cdf", "--grid-n", "20",
                            "--out", str(f))[0] == 0
-            files.append(f)
-        a, b = (np.array([float(r.split(",")[2]) for r in
-                          f.read_text().strip().split("\n")[1:]]) for f in files)
-        assert np.max(np.abs(a - b)) <= 1e-12
+            texts.append(f.read_bytes())
+        assert texts[0].count(b"\n") == 21 * 21 + 1
+        assert all(t == texts[0] for t in texts)
 
 
 class TestCheck:
@@ -210,16 +210,18 @@ class TestDeterminismSubprocess:
 
     def test_closed_pipe_exit_141(self):
         # The reader is gone before the command writes, as after `| head`.
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run(
-                CLI + ["check", "--family", "f1", "--alpha", "0.5", "--grid-n", "20"],
-                stdout=write_end, stderr=subprocess.PIPE, timeout=60)
-        finally:
-            os.close(write_end)
-        assert proc.returncode == 141
-        assert proc.stderr == b""
+        for argv in (["check", "--family", "f1", "--alpha", "0.5", "--grid-n", "20"],
+                     ["grid", "--family", "f1", "--alpha", "0.5", "--what", "cdf",
+                      "--grid-n", "300"]):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(CLI + argv, stdout=write_end, stderr=subprocess.PIPE,
+                                      timeout=60)
+            finally:
+                os.close(write_end)
+            assert proc.returncode == 141
+            assert proc.stderr == b""
 
 
 class TestBoundaryErrors:
@@ -256,3 +258,44 @@ class TestBoundaryErrors:
         assert err.startswith(f"error: cannot write --out {str(path)!r}: ")
         assert err.count("\n") == 1
         assert not path.parent.exists()
+
+
+class TestCsvWriter:
+    """``grid`` text is the reference formatter's, byte for byte, written
+    one lattice row at a time; a command that fails leaves no ``--out``
+    file behind."""
+
+    @pytest.mark.parametrize("family,flag,param", [("f3", "--alpha", 0.3),
+                                                   ("gumbel", "--theta", 2.5)])
+    @pytest.mark.parametrize("what", ["cdf", "pdf", "generator"])
+    @pytest.mark.parametrize("n", [2, 3, 37])
+    def test_grid_matches_reference(self, capsys, monkeypatch, tmp_path,
+                                    family, flag, param, what, n):
+        argv = ["grid", "--family", family, flag, repr(param), "--what", what,
+                "--grid-n", str(n)]
+        expected = grid_csv_loops(family, param, what, n)
+        f = tmp_path / "grid.csv"
+        assert run_cli(capsys, *argv, "--out", str(f)) == (0, "", "")
+        assert f.read_bytes() == expected.encode()
+        stdout = LineCountingStream()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        assert stdout.getvalue() == expected
+        side = n if what == "pdf" else n + 1
+        rows = [n] if what == "generator" else [side] * side
+        assert stdout.lines == [1] + rows
+
+    @pytest.mark.parametrize("argv", [
+        ["grid", "--family", "f1", "--alpha", "0.5", "--what", "cdf", "--grid-n", "1"],
+        ["grid", "--family", "f1", "--alpha", "1.5", "--what", "pdf", "--grid-n", "5"],
+        ["sample", "--family", "f1", "--alpha", "0.5", "--n", "10", "--seed", "-1"],
+        ["sample", "--family", "f1", "--alpha", "0.5", "--n", "10", "--seed", "1",
+         "--method", "frailty"],
+    ])
+    def test_failed_command_creates_no_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not path.exists()

@@ -169,3 +169,18 @@ def test_density_normalizes_gauss_legendre():
                           ("gumbel", 2.0), ("independence", None)]:
         total = float((W * ac.density(family, param, U, V)).sum())
         assert total == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("family,param", [("f1", 0.4), ("f3", 2.0)])
+def test_inputs_unchanged_and_not_shared(family, param):
+    u = np.linspace(0.05, 0.95, 7)
+    v = u[::-1].copy()
+    t = np.array([0.0, 0.5, 3.0, np.inf])
+    calls = [(ac.cdf, (u, v)), (ac.partial_u, (u, v)), (ac.density, (u, v)),
+             (ac.cdf, (0.3, v)), (ac.phi, (u,)), (ac.psi, (t,))]
+    for fn, args in calls:
+        before = [np.copy(a) for a in args]
+        result = fn(family, param, *args)
+        for a, b in zip(args, before):
+            assert np.array_equal(a, b)
+            assert not np.shares_memory(result, a)

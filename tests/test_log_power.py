@@ -76,7 +76,8 @@ def test_compositions_match_closed_form(case, u, v):
 
 
 @pytest.mark.parametrize("family,param", [("f1", 1e-3), ("f1", 5e-3), ("f1", 0.01),
-                                          ("gumbel", 100.0), ("gumbel", 1000.0)])
+                                          ("gumbel", 100.0), ("gumbel", 1000.0),
+                                          ("f3", 1e-300), ("f3", 1e300)])
 def test_conditional_sampler_at_strong_dependence(family, param):
     n = 20_000
     pairs = ac.sample_conditional(family, param, n, seed=11).pairs

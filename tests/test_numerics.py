@@ -1,4 +1,4 @@
-"""Quadrature, bisection, and finite-difference primitives."""
+"""Quadrature, batch bisection, and finite-difference primitives."""
 
 import math
 
@@ -60,28 +60,6 @@ class TestAdaptiveQuad:
 
 
 class TestBisectMonotone:
-    def test_square(self):
-        res = ac.bisect_monotone(lambda v: v * v, 0.25, 0.0, 1.0, 1e-12)
-        assert res.converged
-        assert res.root == pytest.approx(0.5, abs=1e-11)
-
-    def test_identity(self):
-        res = ac.bisect_monotone(lambda v: v, 0.999, 0.0, 1.0, 1e-12)
-        assert res.root == pytest.approx(0.999, abs=1e-11)
-
-    def test_conditional_inversion(self):
-        g = lambda v: ac.partial_u("f1", 0.5, 0.3, v)
-        res = ac.bisect_monotone(g, 0.5, 0.0, 1.0, 1e-10)
-        assert abs(g(res.root) - 0.5) <= 1e-9
-
-    def test_iteration_bound(self):
-        res = ac.bisect_monotone(lambda v: v**3, 0.2, 0.0, 1.0, 1e-10)
-        assert res.iterations <= math.ceil(math.log2(1.0 / 1e-10)) + 2
-
-    def test_bracket_violation(self):
-        with pytest.raises(ac.BracketError):
-            ac.bisect_monotone(lambda v: v, 2.0, 0.0, 1.0, 1e-10)
-
     def test_batch_matches_scalar(self):
         targets = np.linspace(0.05, 0.95, 11)
         roots = ac.bisect_monotone_batch(lambda v: v * v, targets, 0.0, 1.0, 1e-12)

@@ -5,6 +5,8 @@ import pytest
 from scipy import integrate, stats
 
 import archcop as ac
+from archcop.csvtext import BLOCK
+from oracles import LineCountingStream, pairs_csv_loop
 
 
 class TestMburPdf:
@@ -139,16 +141,20 @@ class TestFrailtyCopulaSampler:
         assert abs(a.tau - b.tau) <= 3.0 * combined
 
     def test_alpha_invariance_between_batches(self):
-        a = ac.kendall_tau_mc(ac.sample_frailty_copula(0.1, 20_000, 41).pairs)
-        b = ac.kendall_tau_mc(ac.sample_frailty_copula(10.0, 20_000, 42).pairs)
-        combined = np.hypot(a.error_bound, b.error_bound)
-        assert abs(a.tau - b.tau) <= 3.0 * combined
+        for lo, hi in ((0.1, 10.0), (1e-300, 1e300)):
+            a = ac.kendall_tau_mc(ac.sample_frailty_copula(lo, 20_000, 41).pairs)
+            b = ac.kendall_tau_mc(ac.sample_frailty_copula(hi, 20_000, 42).pairs)
+            combined = np.hypot(a.error_bound, b.error_bound)
+            assert abs(a.tau - b.tau) <= 3.0 * combined
 
     def test_marginal_uniformity_ks(self):
-        pairs = ac.sample_frailty_copula(1.0, 10_000, 55).pairs
-        crit = 1.9495 / np.sqrt(pairs.shape[0])
-        for col in (0, 1):
-            assert stats.kstest(pairs[:, col], "uniform").statistic < crit
+        for alpha in (1.0, 1e-300, 1e300):
+            pairs = ac.sample_frailty_copula(alpha, 10_000, 55).pairs
+            assert np.isfinite(pairs).all()
+            assert np.unique(pairs[:, 1]).size == pairs.shape[0]
+            crit = 1.9495 / np.sqrt(pairs.shape[0])
+            for col in (0, 1):
+                assert stats.kstest(pairs[:, col], "uniform").statistic < crit
 
     def test_deterministic(self):
         a = ac.sample_frailty_copula(2.0, 300, 77)
@@ -168,3 +174,13 @@ class TestCsvFormat:
         # round-trip: parsing the printed decimals reproduces the doubles
         parsed = np.array([[float(t) for t in line.split(",")] for line in lines[1:]])
         assert np.array_equal(parsed, batch.pairs)
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_blocks_match_reference(self, n):
+        batch = ac.sample_frailty_copula(0.3, n, 5)
+        expected = pairs_csv_loop(batch.pairs)
+        assert batch.to_csv() == expected
+        out = LineCountingStream()
+        assert batch.to_csv(out) is None
+        assert out.getvalue() == expected
+        assert out.lines == [1] + [min(BLOCK, n - i) for i in range(0, n, BLOCK)]
