@@ -30,12 +30,7 @@ from .families import (
     psi_double_prime,
     psi_prime,
 )
-from .numerics import (
-    ConvergenceError,
-    QuadratureResult,
-    adaptive_quad,
-    bisect_monotone_batch,
-)
+from .numerics import ConvergenceError, QuadratureResult, adaptive_quad
 from .sampling import (
     SampleBatch,
     frailty_pdf,
@@ -63,7 +58,6 @@ __all__ = [
     "TauEstimate",
     "ValidityReport",
     "adaptive_quad",
-    "bisect_monotone_batch",
     "cdf",
     "check_generator_conditions",
     "check_param",

@@ -7,12 +7,21 @@ All three quantities come from the generator identity
     c(u, v) = psi''(phi(u) + phi(v)) * phi'(u) * phi'(v)
 
 with exact short-circuit branches on the boundary of the unit square.
-``f3`` is composed exactly so, at alpha = 1, since its copula does not
-depend on alpha.  ``f1``, ``f2``, ``gumbel`` and ``independence`` share
-the log-power kind phi = (c*(-ln z))**p, whose compositions are the
-Gumbel closed forms in log space: with x = -ln u,
-y = -ln v, big = max(x, y), r = min(x, y)/big and
-w = big*(1 + r**p)**(1/p),
+``f3``'s copula does not depend on alpha, so it is composed at alpha = 1:
+its cdf exactly so, and dC/du and the density in closed form in
+s = sqrt(1 + 24/z) and S = s_u + s_v,
+
+    dC/du   = (S-5)/s_u * [(s_u-1)/(S-6) * (s_u+1)/(S-4)]**2
+    c(u, v) = (3(S-5)**2 + 1)/48 * [(s_u**2-1)(s_v**2-1)]**2
+              / (((S-6)(S-4))**3 * s_u * s_v)
+
+evaluated as products of ratios of order one, so they stay finite where
+psi'(t) and phi'(u) under- and overflow (u below about 1e-150).
+
+``f1``, ``f2``, ``gumbel`` and ``independence`` share the log-power kind
+phi = (c*(-ln z))**p, whose compositions are the Gumbel closed forms in
+log space: with x = -ln u, y = -ln v, big = max(x, y),
+r = min(x, y)/big and w = big*(1 + r**p)**(1/p),
 
     C(u, v) = exp(-w)
     dC/du   = exp(x - w) * (x/w)**(p-1)
@@ -26,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .families import Frailty, LogPower, _ret, _unit, generator, psi_closed, zero_at_inf
+from .families import Frailty, LogPower, _ret, _unit, generator, psi_closed
 
 
 def _kind(family: str, param: float | None):
@@ -55,6 +64,13 @@ def _log_power_w(p: float, uu, vv):
     big = np.maximum(x, y)
     r = np.minimum(x, y) / big
     return x, y, big * np.exp(np.log1p(r**p) / p)
+
+
+def _frailty_s(z):
+    """s = sqrt(1 + 24/z) on (0, 1), also where 24/z overflows: below
+    1e-300, 1 + z/24 rounds to 1 and s is sqrt(24)/sqrt(z)."""
+    return np.where(z < 1e-300, np.sqrt(24.0) / np.sqrt(z),
+                    np.sqrt(1.0 + 24.0 / np.maximum(z, 1e-300)))
 
 
 def cdf(family: str, param: float | None, u, v):
@@ -103,7 +119,11 @@ def partial_u(family: str, param: float | None, u, v):
             x, _, w = _log_power_w(g.p, a, b)
             out[m] = np.exp(x - w) * (x / w) ** (g.p - 1.0)
         else:
-            out[m] = zero_at_inf(g.psi_prime, g.phi(a) + g.phi(b)) * g.phi_prime(a)
+            su = _frailty_s(a)
+            ss = su + _frailty_s(b)
+            au = (su - 1.0) / (ss - 6.0)
+            bu = (su + 1.0) / (ss - 4.0)
+            out[m] = (ss - 5.0) / su * au * bu * (au * bu)
     np.clip(out, 0.0, 1.0, out=out)
     return _ret(out, scalar)
 
@@ -119,6 +139,13 @@ def density(family: str, param: float | None, u, v):
         # ((x/w)*(y/w))**(p-1) can over- and underflow where c does not
         out = np.exp(x + y - w + (p - 1.0) * np.log((x / w) * (y / w))) * (1.0 + (p - 1.0) / w)
     else:
-        t = g.phi(uu) + g.phi(vv)
-        out = zero_at_inf(g.psi_double_prime, t) * g.phi_prime(uu) * g.phi_prime(vv)
+        su, sv = _frailty_s(uu), _frailty_s(vv)
+        ss = su + sv
+        # (3(S-5)**2 + 1)/((S-6)(S-4)) = 3 + 4/((S-6)(S-4)), and
+        # (s**2 - 1)/s = s - 1/s; each group below, and each partial
+        # product in it, lies between min(s_u, s_v)**2/S and min(s_u, s_v)
+        head = (3.0 + 4.0 / (ss - 6.0) / (ss - 4.0)) / 48.0
+        gu = (sv - 1.0) / (ss - 6.0) * (su - 1.0 / su) * ((sv + 1.0) / (ss - 4.0))
+        gv = (su - 1.0) / (ss - 6.0) * (sv - 1.0 / sv) * ((su + 1.0) / (ss - 4.0))
+        out = head * gu * gv
     return _ret(out, scalar)

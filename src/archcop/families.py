@@ -140,24 +140,28 @@ class Frailty(NamedTuple):
                - 0.5 * np.log1p(24.0 / z) - np.log(z + 24.0))
         return np.sign(a) * np.sign(z + 18.0), mag
 
-    # psi and its derivatives in s = t/a, so that no power of a is formed:
-    # 6a**2 and ((t + 2a)(t + 3a))**k under- and overflow at extreme a.
-    # The derivatives' quotients round to 0 once s passes about 1e77; s is
-    # capped at 1e100 so that a larger or infinite s cannot give inf/inf.
+    # psi in s = t/a, so that no power of a is formed: 6a**2 and
+    # (t + 2a)(t + 3a) under- and overflow at extreme a.  Its derivatives
+    # are products of A = a/(t + 2a) and B = a/(t + 3a), each at most 1/2,
+    # and of 1/(t + 2a) and 1/(t + 3a), grouped so that no partial product
+    # leaves the double range while the result is a normal double:
+    # psi' = -6*A/(t + 3a)*(2 + A)*B and
+    # psi'' = 12*(A/(t + 3a))*(B/(t + 2a))*(3 + A*B), whose two middle
+    # factors are each about the square root of psi''/36.
     def psi(self, t):
         s = t / self.a
         return 6.0 / ((s + 2.0) * (s + 3.0))
 
     def psi_prime(self, t):
-        s = np.minimum(t / self.a, 1e100)
-        q = (s + 2.0) * (s + 3.0)
-        return -6.0 * (2.0 * s + 5.0) / (q * q) / self.a
+        a = self.a
+        ra = a / (t + 2.0 * a)
+        return -6.0 * ra / (t + 3.0 * a) * (2.0 + ra) * (a / (t + 3.0 * a))
 
     def psi_double_prime(self, t):
-        s = np.minimum(t / self.a, 1e100)
-        q = (s + 2.0) * (s + 3.0)
-        d = 2.0 * s + 5.0
-        return 12.0 * (d * d - q) / (q * q * q) / self.a / self.a
+        a = self.a
+        ra = a / (t + 2.0 * a)
+        rb = a / (t + 3.0 * a)
+        return 12.0 * (ra / (t + 3.0 * a)) * (rb / (t + 2.0 * a)) * (3.0 + ra * rb)
 
     def singular_at_zero(self) -> bool:
         return False

@@ -133,7 +133,8 @@ def bisect_monotone_batch(
     non-decreasing g on [lo, hi].
 
     Halves every bracket at once; terminates when every bracket is
-    narrower than ``abs_tol``.
+    narrower than ``abs_tol``.  No library path calls it; the tests use
+    it as the reference for the conditional sampler's Newton inversion.
     """
     t = np.asarray(targets, dtype=float)
     los = np.full_like(t, lo)

@@ -3,8 +3,11 @@
 These deliberately avoid the production code paths they check: the
 reduced f3 form is hand-derived algebra, the finite-difference helpers
 differentiate the CDF directly, the Gumbel references evaluate the
-closed form directly rather than through the generator composition, and
-the CSV references format element by element, without ``csvtext``.
+closed form directly rather than through the generator composition, the
+f3 references compose the generator in mpmath rather than use the closed
+forms in s = sqrt(1 + 24/z), the conditional root bisects dC/du in v
+rather than solve the sampler's log-space equations, and the CSV
+references format element by element, without ``csvtext``.
 """
 
 import io
@@ -103,6 +106,63 @@ def gumbel_mp(theta, u, v):
         du = c / u * x ** (t - 1) * s ** (1 / t - 1)
         pdf = c / (u * v) * (x * y) ** (t - 1) * s ** (2 / t - 2) * (1 + (t - 1) * s ** (-1 / t))
         return c, du, pdf
+
+
+def log_power_theta(family, param):
+    """The Gumbel theta of a log-power family: f1 1/alpha, f2 1/alpha**2."""
+    return {"f1": lambda a: 1.0 / a, "f2": lambda a: 1.0 / (a * a),
+            "gumbel": float, "independence": lambda _: 1.0}[family](param)
+
+
+def f3_mp(u, v):
+    """(dC/du, c) of the f3 copula at (u, v), to 50 digits.
+
+    The generator composition psi'(t)*phi'(u) and psi''(t)*phi'(u)*phi'(v),
+    t = phi(u) + phi(v), at alpha = 1 and in mpmath on the exact double
+    inputs, with none of the production code's closed forms in
+    s = sqrt(1 + 24/z).
+    """
+    with mpmath.workdps(50):
+        u, v = mpmath.mpf(u), mpmath.mpf(v)
+        t = sum((mpmath.sqrt(1 + 24 / z) - 5) / 2 for z in (u, v))
+        q = (t + 2) * (t + 3)
+        dphi_u, dphi_v = (-6 / (z * z * mpmath.sqrt(1 + 24 / z)) for z in (u, v))
+        return -6 * (2 * t + 5) / q**2 * dphi_u, 12 * ((2 * t + 5) ** 2 - q) / q**3 * dphi_u * dphi_v
+
+
+def frailty_psi_derivatives_mp(a, t):
+    """(psi'(t), psi''(t)) of the f3 inverse generator
+    psi(t) = 6a**2/q, q = (t + 2a)(t + 3a), to 50 digits: the quotient
+    rule's -6a**2 q'/q**2 and 6a**2 (2q'**2 - q q'')/q**3 with q' = 2t + 5a
+    and q'' = 2, unfactored."""
+    with mpmath.workdps(50):
+        a, t = mpmath.mpf(a), mpmath.mpf(t)
+        q = (t + 2 * a) * (t + 3 * a)
+        dq = 2 * t + 5 * a
+        return -6 * a * a * dq / q**2, 6 * a * a * (2 * dq * dq - 2 * q) / q**3
+
+
+def conditional_root_mp(family, param, u, q):
+    """The v in (0, 1) with dC/du(u, v) = q, to 50 digits.
+
+    Bisects v itself over [0, 1] for 64 steps (to 5e-20), evaluating
+    dC/du by the textbook forms of ``gumbel_mp`` and ``f3_mp`` rather than
+    by the equation the sampler solves.
+    """
+    if family == "f3":
+        du = lambda v: f3_mp(u, v)[0]  # noqa: E731
+    else:
+        theta = log_power_theta(family, param)
+        du = lambda v: gumbel_mp(theta, u, v)[1]  # noqa: E731
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(64):
+            mid = (lo + hi) / 2
+            if du(mid) < q:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
 
 
 def grid_csv_loops(family, param, what: str, n: int) -> str:

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import archcop as ac
-from oracles import central_mixed_second, f3_reduced_cdf, reference_gumbel_cdf
+from oracles import central_mixed_second, f3_mp, f3_reduced_cdf, reference_gumbel_cdf
 
 INTERIOR = np.linspace(0.02, 0.98, 51)
 
@@ -153,6 +154,33 @@ class TestCrossFamilyIdentities:
             C = ac.cdf(family, param, U, V)
             assert np.all(C >= lower - 1e-12)
             assert np.all(C <= upper + 1e-12)
+
+
+class TestF3ClosedForms:
+    """f3's dC/du and density in s = sqrt(1 + 24/z), against the 50-digit
+    generator composition."""
+
+    @given(alpha=st.floats(min_value=1e-300, max_value=1e300),
+           u=st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
+           v=st.floats(min_value=1e-300, max_value=1.0, exclude_max=True))
+    @settings(max_examples=300, deadline=None)
+    def test_match_composition(self, alpha, u, v):
+        du, pdf = ac.partial_u("f3", alpha, u, v), ac.density("f3", alpha, u, v)
+        assert math.isfinite(du) and math.isfinite(pdf)
+        for got, exact in zip((du, pdf), f3_mp(u, v)):
+            exact = float(exact)
+            if exact >= np.finfo(float).tiny:
+                assert abs(got - exact) <= 4e-15 * exact
+            else:
+                assert 0.0 <= got <= 2.0 * np.finfo(float).tiny
+
+    @pytest.mark.parametrize("u", [1e-310, 1e-300, 1e-200, 1e-160])
+    def test_tiny_u(self, u):
+        # psi'(t) * phi'(u) gave NaN or 0 here: t overflows psi's q*q and
+        # u*u underflows in phi'
+        assert ac.partial_u("f3", 1.0, u, 0.5) == 1.0
+        exact = float(f3_mp(u, 0.5)[1])
+        assert ac.density("f3", 1.0, u, 0.5) == pytest.approx(exact, rel=4e-15, abs=0.0)
 
 
 def test_density_normalizes_gauss_legendre():

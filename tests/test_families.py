@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import archcop as ac
-from oracles import central_first, central_second
+from oracles import central_first, central_second, frailty_psi_derivatives_mp
 
 ALL_CASES = [
     ("f1", 0.1), ("f1", 0.4), ("f1", 0.6), ("f1", 1.0),
@@ -104,6 +104,42 @@ class TestPsiExamples:
         # non-singular cases are fine at t=0
         assert ac.psi_prime("f3", 1.0, 0.0) == pytest.approx(-5.0 / 6.0, rel=1e-13)
         assert ac.psi_prime("f1", 1.0, 0.0) == -1.0
+
+
+TINY = np.finfo(float).tiny  # smallest normal double
+
+
+def check_f3_psi_derivatives(a, t):
+    """psi' and psi'' of f3 at (a, t) are correct wherever their true value
+    is a normal double; where it overflows (psi'' near t = a = 1e-300)
+    there is none to check."""
+    for fn, exact in zip((ac.psi_prime, ac.psi_double_prime),
+                         frailty_psi_derivatives_mp(a, t)):
+        exact = float(exact)
+        if math.isinf(exact):
+            continue
+        got = fn("f3", a, t)
+        assert math.isfinite(got)
+        if abs(exact) >= TINY:
+            assert abs(got - exact) <= 4e-15 * abs(exact)
+        else:
+            assert abs(got) <= 2.0 * TINY
+
+
+@given(a=st.floats(min_value=1e-300, max_value=1e300),
+       t=st.floats(min_value=1e-300, max_value=1e300))
+@settings(max_examples=300, deadline=None)
+def test_f3_psi_derivatives_match_mpmath(a, t):
+    check_f3_psi_derivatives(a, t)
+
+
+@pytest.mark.parametrize("a,t", [
+    (1e-300, 1e-140),  # psi' = -1.2e-179: (t/a)**4 overflows
+    (1e-250, 1e-50),  # psi'' = 3.6e-299: a**2/(t + 3a)**3 underflows
+    (1e-258, 1e-198),  # psi'' = 3.6e277: a/(t + 3a)**3 overflows
+])
+def test_f3_psi_derivatives_at_extreme_ratios(a, t):
+    check_f3_psi_derivatives(a, t)
 
 
 @pytest.mark.parametrize("family,param", ALL_CASES)

@@ -15,7 +15,7 @@ from scipy import stats
 
 import archcop as ac
 from archcop.families import LogPower, generator
-from oracles import gumbel_mp
+from oracles import gumbel_mp, log_power_theta
 
 EPS = np.finfo(float).eps
 
@@ -27,11 +27,6 @@ cases = st.one_of(
 )
 # 1e-300 keeps the density representable at the largest p (f2, alpha=1e-3)
 points = st.floats(min_value=1e-300, max_value=1.0, exclude_max=True)
-
-
-def gumbel_theta(family, param):
-    return {"f1": lambda a: 1.0 / a, "f2": lambda a: 1.0 / (a * a),
-            "gumbel": float}[family](param)
 
 
 def tolerance(p, u, v):
@@ -61,7 +56,7 @@ def agrees(got, exact, rtol):
 @settings(max_examples=300, deadline=None)
 def test_compositions_match_closed_form(case, u, v):
     family, param = case
-    p = gumbel_theta(family, param)
+    p = log_power_theta(family, param)
     c = ac.cdf(family, param, u, v)
     du = ac.partial_u(family, param, u, v)
     pdf = ac.density(family, param, u, v)

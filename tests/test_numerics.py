@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import archcop as ac
+from archcop.numerics import bisect_monotone_batch
 from oracles import central_mixed_second
 
 
@@ -62,7 +63,7 @@ class TestAdaptiveQuad:
 class TestBisectMonotone:
     def test_batch_matches_scalar(self):
         targets = np.linspace(0.05, 0.95, 11)
-        roots = ac.bisect_monotone_batch(lambda v: v * v, targets, 0.0, 1.0, 1e-12)
+        roots = bisect_monotone_batch(lambda v: v * v, targets, 0.0, 1.0, 1e-12)
         assert np.max(np.abs(roots - np.sqrt(targets))) <= 1e-11
 
 

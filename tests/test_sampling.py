@@ -1,12 +1,17 @@
 """Frailty machinery and the two pair samplers."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 import archcop as ac
+from archcop import cli, copula, numerics, sampling
 from archcop.csvtext import BLOCK
-from oracles import LineCountingStream, pairs_csv_loop
+from archcop.families import generator
+from oracles import LineCountingStream, conditional_root_mp, pairs_csv_loop
 
 
 class TestMburPdf:
@@ -120,6 +125,78 @@ class TestConditionalSampler:
         for col in (0, 1):
             d = stats.kstest(pairs[:, col], "uniform").statistic
             assert d < crit
+
+
+def conditional_v(family, param, u, q):
+    """The sampler's v for one (u, q)."""
+    v = sampling._conditional_v(generator(family, param), np.array([u]), np.array([q]))
+    return float(v[0])
+
+
+class TestConditionalInversion:
+    """Newton inversion of dC/du(u, v) = q for v, per generator kind."""
+
+    alphas = st.floats(min_value=1e-3, max_value=1.0)
+    cases = st.one_of(
+        st.tuples(st.just("f1"), alphas),
+        st.tuples(st.just("f2"), alphas),
+        st.tuples(st.just("gumbel"), st.floats(min_value=1.0, max_value=1e3)),
+        st.tuples(st.just("f3"), st.floats(min_value=1e-300, max_value=1e300)),
+    )
+    unit = st.floats(min_value=1e-15, max_value=1.0 - 1e-15)
+
+    @given(case=cases, u=unit, q=unit)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_mpmath_root(self, case, u, q):
+        family, param = case
+        v = conditional_v(family, param, u, q)
+        assert math.isfinite(v) and 0.0 <= v <= 1.0
+        assert abs(v - float(conditional_root_mp(family, param, u, q))) <= 1e-14
+
+    def test_near_one_regression(self):
+        # Bisection over dC/du gave 0.3108 here: dC/du rounds to 1 over a
+        # range of v wider than its tolerance once q is within 1e-15 of 1.
+        v = conditional_v("f1", 1e-3, 0.3, 1.0 - 1e-15)
+        assert v == pytest.approx(0.31251656016799345, abs=1e-14)
+
+    @pytest.mark.parametrize("family,param", [
+        ("f1", 0.5), ("f1", 0.01), ("f1", 1e-3), ("f2", 0.8), ("f2", 0.05), ("f2", 1e-3),
+        ("gumbel", 4.0), ("gumbel", 1e3), ("independence", None), ("f3", 1.0), ("f3", 2.0),
+    ])
+    def test_agrees_with_bisection(self, family, param):
+        # Reference: the former sampler, bisection over partial_u to 1e-10
+        # on the same seeded draws.
+        n, seed = 100_000, 11
+        v = ac.sample_conditional(family, param, n, seed).pairs[:, 1]
+        draws = sampling._rng(seed).random((n, 2))
+        u = np.clip(draws[:, 0], 1e-15, 1.0 - 1e-15)
+        q = np.clip(draws[:, 1], 1e-15, 1.0 - 1e-15)
+        ref = numerics.bisect_monotone_batch(
+            lambda vv: ac.partial_u(family, param, u, vv), q, 0.0, 1.0, 1e-10)
+        assert np.max(np.abs(v - np.clip(ref, 1e-15, 1.0 - 1e-15))) <= 1e-10
+        assert np.unique(v).size == n
+
+    def test_uses_neither_partial_u_nor_bisection(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sampler must not call this")
+
+        monkeypatch.setattr(copula, "partial_u", forbidden)
+        monkeypatch.setattr(ac, "partial_u", forbidden)
+        monkeypatch.setattr(numerics, "bisect_monotone_batch", forbidden)
+        for family, param in [("f1", 0.5), ("f2", 0.05), ("gumbel", 4.0),
+                              ("independence", None), ("f3", 2.0)]:
+            pairs = ac.sample_conditional(family, param, 1000, 3).pairs
+            assert np.all((pairs > 0.0) & (pairs < 1.0))
+
+    @pytest.mark.parametrize("family", ["f1", "f3"])
+    def test_step_cap_exits_3(self, family, monkeypatch, capsys):
+        monkeypatch.setattr(sampling, "_NEWTON_CAP", 1)
+        code = cli.main(["sample", "--family", family, "--alpha", "0.5",
+                         "--n", "1000", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestFrailtyCopulaSampler:
