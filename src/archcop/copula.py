@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .families import Frailty, LogPower, _ret, _unit, generator, psi_closed
+from .families import Frailty, LogPower, _frailty_s, _ret, _unit, generator, psi_closed
 
 
 def _kind(family: str, param: float | None):
@@ -64,13 +64,6 @@ def _log_power_w(p: float, uu, vv):
     big = np.maximum(x, y)
     r = np.minimum(x, y) / big
     return x, y, big * np.exp(np.log1p(r**p) / p)
-
-
-def _frailty_s(z):
-    """s = sqrt(1 + 24/z) on (0, 1), also where 24/z overflows: below
-    1e-300, 1 + z/24 rounds to 1 and s is sqrt(24)/sqrt(z)."""
-    return np.where(z < 1e-300, np.sqrt(24.0) / np.sqrt(z),
-                    np.sqrt(1.0 + 24.0 / np.maximum(z, 1e-300)))
 
 
 def cdf(family: str, param: float | None, u, v):

@@ -60,7 +60,8 @@ class LogPower(NamedTuple):
     p: float
 
     def phi(self, z):
-        return (self.c * -np.log(z)) ** self.p
+        with np.errstate(over="ignore"):  # past the double range phi is inf
+            return (self.c * -np.log(z)) ** self.p
 
     def phi_prime(self, z):
         c, p = self
@@ -108,36 +109,62 @@ class LogPower(NamedTuple):
         return z * np.log(z) / self.p
 
 
+def _frailty_s(z):
+    """s = sqrt(1 + 24/z) on (0, 1), also where 24/z overflows: below
+    1e-300, 1 + z/24 rounds to 1 and s is sqrt(24)/sqrt(z)."""
+    return np.where(z < 1e-300, np.sqrt(24.0) / np.sqrt(z),
+                    np.sqrt(1.0 + 24.0 / np.maximum(z, 1e-300)))
+
+
+def _frailty_log_s(z):
+    """ln s = ln(1 + 24/z)/2 on (0, 1), split at 1e-300 as ``_frailty_s``."""
+    return np.where(z < 1e-300, 0.5 * (np.log(24.0) - np.log(z)),
+                    0.5 * np.log1p(24.0 / np.maximum(z, 1e-300)))
+
+
 class Frailty(NamedTuple):
     """phi(z) = (a/2)*(sqrt(1 + 24/z) - 5) of family f3; interior points only."""
 
     a: float
 
     def phi(self, z):
-        return 0.5 * self.a * (np.sqrt(1.0 + 24.0 / z) - 5.0)
+        return 0.5 * self.a * (_frailty_s(z) - 5.0)
 
+    # phi' = -6a/(z**2 s) and phi'' = 12a(z + 18)/(z**3 s (z + 24)).  Where
+    # z*z (below 1.5e-154) or z**4 (below 1.2e-77) is no longer a normal
+    # double, they divide by z one factor at a time instead: z*s =
+    # sqrt(z*z + 24z) stays normal, and each step only grows, so a step
+    # overflows only when the value does.
     def phi_prime(self, z):
-        return -6.0 * self.a / (z * z * np.sqrt(1.0 + 24.0 / z))
+        a = self.a
+        zn = np.maximum(z, 1e-150)
+        with np.errstate(over="ignore"):
+            small = -6.0 * a / (z * _frailty_s(z)) / z
+        return np.where(z < 1e-150, small, -6.0 * a / (zn * zn * _frailty_s(zn)))
 
     def phi_double_prime(self, z):
         a = self.a
-        s = np.sqrt(1.0 + 24.0 / z)
-        z2 = z * z
-        return 12.0 * a / (z2 * z * s) - 72.0 * a / (z2 * z2 * s * s * s)
+        zn = np.maximum(z, 1e-75)
+        s = _frailty_s(zn)
+        z2 = zn * zn
+        with np.errstate(over="ignore"):
+            small = 12.0 * a / (z * _frailty_s(z)) * ((z + 18.0) / (z + 24.0)) / z / z
+        return np.where(z < 1e-75, small,
+                        12.0 * a / (z2 * zn * s) - 72.0 * a / (z2 * z2 * s * s * s))
 
     def log_phi(self, z):
-        return np.log(0.5 * self.a) + np.log(np.sqrt(1.0 + 24.0 / z) - 5.0)
+        return np.log(0.5 * self.a) + np.log(_frailty_s(z) - 5.0)
 
     def log_phi_prime(self, z):
         a = self.a
-        mag = np.log(6.0 * abs(a)) - 2.0 * np.log(z) - 0.5 * np.log1p(24.0 / z)
+        mag = np.log(6.0 * abs(a)) - 2.0 * np.log(z) - _frailty_log_s(z)
         return np.full_like(z, -np.sign(a)), mag
 
     def log_phi_double_prime(self, z):
         # phi'' = 12a (z + 18) / (z**3 s (z + 24)), s = sqrt(1 + 24/z)
         a = self.a
         mag = (np.log(12.0 * abs(a)) + np.log(np.abs(z + 18.0)) - 3.0 * np.log(z)
-               - 0.5 * np.log1p(24.0 / z) - np.log(z + 24.0))
+               - _frailty_log_s(z) - np.log(z + 24.0))
         return np.sign(a) * np.sign(z + 18.0), mag
 
     # psi in s = t/a, so that no power of a is formed: 6a**2 and
@@ -149,8 +176,15 @@ class Frailty(NamedTuple):
     # psi'' = 12*(A/(t + 3a))*(B/(t + 2a))*(3 + A*B), whose two middle
     # factors are each about the square root of psi''/36.
     def psi(self, t):
-        s = t / self.a
-        return 6.0 / ((s + 2.0) * (s + 3.0))
+        with np.errstate(over="ignore"):
+            s = t / self.a
+            q = (s + 2.0) * (s + 3.0)
+        out = 6.0 / q
+        # past s = 1.3e154 q overflows while psi = 6/s**2 is still a double
+        # (and 0 where s itself overflows)
+        far = np.isinf(q)
+        out[far] = 6.0 / s[far] / s[far]
+        return out
 
     def psi_prime(self, t):
         a = self.a

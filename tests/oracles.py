@@ -142,6 +142,30 @@ def frailty_psi_derivatives_mp(a, t):
         return -6 * a * a * dq / q**2, 6 * a * a * (2 * dq * dq - 2 * q) / q**3
 
 
+def frailty_phi_mp(a, z):
+    """(phi, phi', phi'') of the f3 generator at z, to 50 digits: the
+    textbook a/2*(s - 5), -6a/(z**2 s) and 12a/(z**3 s) - 72a/(z**4 s**3),
+    s = sqrt(1 + 24/z), in mpmath on the exact double inputs."""
+    with mpmath.workdps(50):
+        a, z = mpmath.mpf(a), mpmath.mpf(z)
+        s = mpmath.sqrt(1 + 24 / z)
+        return a / 2 * (s - 5), -6 * a / (z**2 * s), 12 * a / (z**3 * s) - 72 * a / (z**4 * s**3)
+
+
+def frailty_psi_mp(a, t):
+    """psi(t) = 6a**2/((t + 2a)(t + 3a)) of f3, to 50 digits."""
+    with mpmath.workdps(50):
+        a, t = mpmath.mpf(a), mpmath.mpf(t)
+        return 6 * a * a / ((t + 2 * a) * (t + 3 * a))
+
+
+def f3_cdf_mp(u, v):
+    """C(u, v) of f3, psi(phi(u) + phi(v)) at alpha = 1, to 50 digits."""
+    with mpmath.workdps(50):
+        t = sum((mpmath.sqrt(1 + 24 / mpmath.mpf(z)) - 5) / 2 for z in (u, v))
+        return 6 / ((t + 2) * (t + 3))
+
+
 def conditional_root_mp(family, param, u, q):
     """The v in (0, 1) with dC/du(u, v) = q, to 50 digits.
 

@@ -285,6 +285,21 @@ class TestCsvWriter:
         rows = [n] if what == "generator" else [side] * side
         assert stdout.lines == [1] + rows
 
+    @pytest.mark.parametrize("family,flag,param", [("f2", "--alpha", 0.001),
+                                                   ("gumbel", "--theta", 1000.0)])
+    def test_generator_overflow_to_inf_is_silent(self, tmp_path, family, flag, param):
+        # phi = (-ln z)**p passes the double range near z = 0: the file
+        # holds inf, as repr prints it, and nothing is written to stderr
+        f = tmp_path / "grid.csv"
+        done = subprocess.run(CLI + ["grid", "--family", family, flag, repr(param),
+                                     "--what", "generator", "--grid-n", "7", "--out", str(f)],
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        with np.errstate(over="ignore"):
+            expected = grid_csv_loops(family, param, "generator", 7)
+        assert f.read_bytes() == expected.encode()
+        assert ",inf\n" in expected
+
     @pytest.mark.parametrize("argv", [
         ["grid", "--family", "f1", "--alpha", "0.5", "--what", "cdf", "--grid-n", "1"],
         ["grid", "--family", "f1", "--alpha", "1.5", "--what", "pdf", "--grid-n", "5"],

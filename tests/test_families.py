@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import archcop as ac
-from oracles import central_first, central_second, frailty_psi_derivatives_mp
+from oracles import (central_first, central_second, f3_cdf_mp, frailty_phi_mp,
+                     frailty_psi_derivatives_mp, frailty_psi_mp)
 
 ALL_CASES = [
     ("f1", 0.1), ("f1", 0.4), ("f1", 0.6), ("f1", 1.0),
@@ -140,6 +141,42 @@ def test_f3_psi_derivatives_match_mpmath(a, t):
 ])
 def test_f3_psi_derivatives_at_extreme_ratios(a, t):
     check_f3_psi_derivatives(a, t)
+
+
+def close_or_overflowed(got, exact, rtol):
+    """``got`` is the double nearest ``exact`` to ``rtol``, or the
+    infinity of its sign where ``exact`` is past the double range."""
+    if abs(exact) > np.finfo(float).max:
+        return got == math.copysign(math.inf, exact)
+    return math.isfinite(got) and abs(got - exact) <= rtol * abs(exact)
+
+
+@given(a=st.floats(min_value=1e-3, max_value=1e3),
+       z=st.one_of(st.floats(min_value=5e-324, max_value=1e-300),
+                   st.floats(min_value=1e-300, max_value=1.0, exclude_max=True)))
+@settings(max_examples=400, deadline=None)
+def test_f3_generator_matches_mpmath(a, z):
+    phi_mp, prime_mp, double_mp = (float(v) for v in frailty_phi_mp(a, z))
+    # phi = a/2*(s - 5) cancels as z -> 1, where s -> 5: its error is a
+    # few eps of a*s rather than of phi
+    s = 2.0 * phi_mp / a + 5.0
+    assert abs(ac.phi("f3", a, z) - phi_mp) <= 1e-14 * (abs(phi_mp) + a * s)
+    assert close_or_overflowed(ac.phi_prime("f3", a, z), prime_mp, 1e-14)
+    assert close_or_overflowed(ac.phi_double_prime("f3", a, z), double_mp, 1e-14)
+
+
+@pytest.mark.parametrize("z", [1e-310, 5e-324, 1e-200, 1e-100])
+def test_f3_generator_at_tiny_z(z):
+    assert ac.phi("f3", 1.0, z) == pytest.approx(float(frailty_phi_mp(1.0, z)[0]), rel=1e-14)
+    assert ac.phi_prime("f3", 1e-300, z) == pytest.approx(
+        float(frailty_phi_mp(1e-300, z)[1]), rel=1e-14)
+    assert ac.cdf("f3", 1.0, z, 0.5) == pytest.approx(float(f3_cdf_mp(z, 0.5)), rel=1e-13)
+
+
+@pytest.mark.parametrize("a,t", [(1e-300, 1e300), (1.0, 1e155), (1.0, 1e200), (2.0, 1e308)])
+def test_f3_psi_past_the_double_range(a, t):
+    # t/a or (t/a + 2)(t/a + 3) overflows, while psi is 0 or a small double
+    assert ac.psi("f3", a, t) == pytest.approx(float(frailty_psi_mp(a, t)), rel=1e-15)
 
 
 @pytest.mark.parametrize("family,param", ALL_CASES)
