@@ -93,23 +93,22 @@ def _tables() -> _Tables:
     t = _SPLIT * scale
     scale_hi = t - (t - scale)
 
-    digit = np.arange(10000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
+    digits = np.empty((10000, 4), np.uint8)
+    for k, place in enumerate((1000, 100, 10, 1)):
+        digits[:, k] = np.arange(10000, dtype=np.int16) // place % 10
     cells = np.full((10000, 8), ord("."), np.uint8)
-    cells[:, ::2] = digit + ord("0")
-    last = ((digit != 0) * np.arange(1, 5, dtype=np.int8)).max(axis=1)
+    cells[:, ::2] = digits + ord("0")
+    last = ((digits != 0) * np.arange(1, 5, dtype=np.uint8)).max(axis=1)
 
-    sign, j, n = (a[:, None] for a in np.unravel_index(np.arange(_KEYS), (2, _DECADES, 17)))
-    e, n = j - 4, n + 1
-    col = np.arange(_SLOT)
+    sign, j, n = np.unravel_index(np.arange(_KEYS), (2, _DECADES, 17))
+    e, n = (j - 4)[:, None], (n + 1)[:, None]
     keep = np.zeros((_KEYS + 25, _SLOT), bool)
-    keep[:_KEYS] = (
-        (col == 0) & (sign == 1)
-        | (col >= 1) & (col <= 1 - e) & (e < 0)  # "0." and the zeros after it
-        # the digits up to the last significant one, and for E >= 0 at
-        # least one after the point: "12.0", not "12."
-        | (col >= 6) & (col % 2 == 0) & (col <= 4 + 2 * np.where(e < 0, n, np.maximum(n, e + 2)))
-        | (col == 7 + 2 * e) & (e >= 0)  # the point after digit E + 1
-    )
+    keep[:_KEYS, 0] = sign == 1
+    keep[:_KEYS, 1:6] = (np.arange(1, 6) <= 1 - e) & (e < 0)  # "0." and zeros
+    # the digits up to the last significant one, and for E >= 0 at least
+    # one after the point ("12.0", not "12."); the point after digit E + 1
+    keep[:_KEYS, 6:40:2] = np.arange(1, 18) <= np.where(e < 0, n, np.maximum(n, e + 2))
+    keep[:_KEYS, 7:40:2] = np.arange(1, 18) == e + 1
     for length in range(1, 25):  # a repr written from column 6
         keep[_KEYS + length, 6 : 6 + length] = True
     keep[:, -1] = True
