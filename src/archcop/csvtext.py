@@ -125,8 +125,8 @@ def _decimal(a):
     tab = _tables()
     j = np.searchsorted(tab.cuts, a, side="right") - 1  # E + 4
     sure = (j >= 0) & (j < _DECADES)
-    a[~sure] = 1.5
-    j[~sure] = 4
+    a[~sure] = 1.5  # placeholders, so that no value out of range reaches
+    j[~sure] = 4  # the arithmetic below
     p = tab.scale.take(j)
     ph, pl = tab.scale_hi.take(j), tab.scale_lo.take(j)
     big = _SPLIT * a
