@@ -1,6 +1,5 @@
 """Archimedean copula construction, validity auditing, and sampling toolkit."""
 
-from ._backend import KERNEL_BACKEND
 from .copula import cdf, density, partial_u
 from .diagnostics import (
     TauEstimate,
@@ -22,7 +21,6 @@ from .families import (
     DomainError,
     check_generator_conditions,
     check_param,
-    generator_ratio,
     phi,
     phi_double_prime,
     phi_prime,
@@ -30,20 +28,12 @@ from .families import (
     psi_double_prime,
     psi_prime,
 )
-from .numerics import ConvergenceError, QuadratureResult, adaptive_quad
-from .sampling import (
-    SampleBatch,
-    frailty_pdf,
-    mbur_pdf,
-    sample_conditional,
-    sample_frailty,
-    sample_frailty_copula,
-)
+from .numerics import ConvergenceError
+from .sampling import SampleBatch, sample_conditional, sample_frailty_copula
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND",
     "FAMILIES",
     "F1",
     "F2",
@@ -53,22 +43,17 @@ __all__ = [
     "DomainError",
     "ConvergenceError",
     "ConditionReport",
-    "QuadratureResult",
     "SampleBatch",
     "TauEstimate",
     "ValidityReport",
-    "adaptive_quad",
     "cdf",
     "check_generator_conditions",
     "check_param",
     "density",
-    "frailty_pdf",
-    "generator_ratio",
     "grid_validity_report",
     "kendall_tau_closed",
     "kendall_tau_mc",
     "kendall_tau_quadrature",
-    "mbur_pdf",
     "partial_u",
     "phi",
     "phi_double_prime",
@@ -77,7 +62,6 @@ __all__ = [
     "psi_double_prime",
     "psi_prime",
     "sample_conditional",
-    "sample_frailty",
     "sample_frailty_copula",
     "singularity_limit",
 ]

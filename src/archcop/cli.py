@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from . import __version__, csvtext
+from . import __version__
 from .copula import cdf, density
 from .diagnostics import (
     grid_validity_report,
@@ -75,6 +75,8 @@ def _cmd_grid(args) -> int:
     n = args.grid_n
     if n < 2:
         raise DomainError("--grid-n must be >= 2")
+    from . import csvtext  # only the commands that write CSV load it
+
     if args.what == "generator":
         z = (np.arange(n) + 0.5) / n
         text = csvtext.table("z,phi", z, phi(args.family, param, z))

@@ -27,6 +27,9 @@ from .families import (
 )
 from .numerics import ConvergenceError, adaptive_quad
 
+# Blocks of the Monte Carlo tau's standard error.
+BLOCK_COUNT = 20
+
 # Tolerances used by the lattice audit.
 BOUNDARY_TOL = 1e-12
 MARGIN_TOL = 1e-12
@@ -149,12 +152,12 @@ def kendall_tau_quadrature(
     )
 
 
-def kendall_tau_mc(pairs: np.ndarray, block_count: int = 20) -> TauEstimate:
+def kendall_tau_mc(pairs: np.ndarray) -> TauEstimate:
     """Exact concordance statistic (tau-a) with a block standard error.
 
-    ``pairs`` is an (n, 2) array of finite values; the count over all
-    n(n-1)/2 pairs is exact and takes O(n log n).  The standard error comes
-    from ``block_count`` equal-size consecutive blocks.
+    ``pairs`` is an (n, 2) array of at least 200 finite values; the count
+    over all n(n-1)/2 pairs is exact and takes O(n log n).  The standard
+    error comes from ``BLOCK_COUNT`` equal-size consecutive blocks.
     """
     arr = np.ascontiguousarray(np.asarray(pairs, dtype=float))
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -162,22 +165,20 @@ def kendall_tau_mc(pairs: np.ndarray, block_count: int = 20) -> TauEstimate:
     if not np.isfinite(arr).all():
         raise DomainError("pairs must be finite (found NaN or infinity)")
     n = arr.shape[0]
-    if block_count < 5:
-        raise DomainError("block_count must be >= 5")
-    if n < 10 * block_count:
+    if n < 10 * BLOCK_COUNT:
         raise DomainError("need n >= 10 * block_count")
     u = np.ascontiguousarray(arr[:, 0])
     v = np.ascontiguousarray(arr[:, 1])
     tau = concordance_diff(u, v) / (n * (n - 1) / 2.0)
-    size = n // block_count
-    block_taus = np.empty(block_count)
-    for b in range(block_count):
+    size = n // BLOCK_COUNT
+    block_taus = np.empty(BLOCK_COUNT)
+    for b in range(BLOCK_COUNT):
         s = b * size
         ub = np.ascontiguousarray(u[s : s + size])
         vb = np.ascontiguousarray(v[s : s + size])
         block_taus[b] = concordance_diff(ub, vb) / (size * (size - 1) / 2.0)
-    se = float(np.std(block_taus, ddof=1) / np.sqrt(block_count))
+    se = float(np.std(block_taus, ddof=1) / np.sqrt(BLOCK_COUNT))
     return TauEstimate(
         tau=float(tau), method="monte_carlo", error_bound=se, n=n,
-        note=f"block standard error from {block_count} blocks",
+        note=f"block standard error from {BLOCK_COUNT} blocks",
     )

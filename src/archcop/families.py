@@ -18,6 +18,12 @@ coefficients, and its closed-form Kendall tau.  There are two kinds.
     psi(t) is psi at alpha = 1 of t/alpha, the copula does not depend on
     alpha.
 
+Each kind is the only code that knows its formulas: the generator and its
+inverse with their derivatives, and the compositions of the copula built
+from them, C(u, v) = psi(phi(u) + phi(v)), dC/du = psi'(...) * phi'(u) and
+c(u, v) = psi''(...) * phi'(u) * phi'(v), with the conditional inverse
+that solves dC/du(u, v) = q for v.
+
 All public functions accept floats or numpy arrays and are pure.  They
 validate the family, parameter and points once, handle the boundary
 values (z in {0, 1}, t in {0, inf}) by exact branches so no logarithm of
@@ -48,12 +54,56 @@ class DomainError(ValueError):
     """An argument lies outside the documented domain."""
 
 
+class ConvergenceError(RuntimeError):
+    """A numerical routine failed to reach its requested tolerance."""
+
+
+# Newton steps per conditional inversion; only a backstop, since the
+# monotone stopping test ends every solve (in at most 12 steps on a grid of
+# u and q over [1e-15, 1 - 1e-15] for f1, gumbel and f3).
+_NEWTON_CAP = 100
+
+
+def _monotone_newton(f, z, direction: float):
+    """Newton's method on every entry of ``z`` at once.
+
+    ``f`` returns (value, slope) of an equation whose Newton steps move
+    each entry monotonically toward its root, in ``direction`` (+1 or -1)
+    from the start ``z``.  The iteration stops once no entry moves that
+    way any more: rounding, not a tolerance, ends it.
+    """
+    for _ in range(_NEWTON_CAP):
+        value, slope = f(z)
+        nxt = z - value / slope
+        moved = direction * (nxt - z) > 0.0
+        if not moved.any():
+            return z
+        z = np.where(moved, nxt, z)
+    raise ConvergenceError(f"conditional inversion did not converge in {_NEWTON_CAP} Newton steps")
+
+
 class LogPower(NamedTuple):
     """phi(z) = (c*x)**p with x = -ln z; interior points only.
 
     ``log_phi`` is ln phi, and ``log_phi_prime``/``log_phi_double_prime``
     are (sign, ln|value|) of phi' and phi''; these neither under- nor
     overflow where the values themselves do.
+
+    The compositions are the Gumbel closed forms in log space: with
+    x = -ln u, y = -ln v, big = max(x, y), r = min(x, y)/big and
+    w = big*(1 + r**p)**(1/p),
+
+        C(u, v) = exp(-w)
+        dC/du   = exp(x - w) * (x/w)**(p-1)
+        c(u, v) = exp(x + y - w) * ((x/w)*(y/w))**(p-1) * (1 + (p-1)/w)
+
+    which stay finite where phi itself under- or overflows double precision
+    (the density takes its first two factors as one exp of summed logs).
+    The scale c cancels in all three.
+
+    ``conditional_v`` solves dC/du(u, v) = exp(-L) for v: delta = ln(w/x)
+    >= 0 solves x*expm1(delta) + (p-1)*delta = L, a convex increasing
+    function; then ln y = ln x + delta + ln(-expm1(-p*delta))/p.
     """
 
     c: float
@@ -108,6 +158,50 @@ class LogPower(NamedTuple):
     def ratio(self, z):
         return z * np.log(z) / self.p
 
+    def _w(self, u, v):
+        """x, y and w = (x**p + y**p)**(1/p), factored by the larger term,
+        which keeps the sum finite where x**p or y**p leaves the double
+        range."""
+        x = -np.log(u)
+        y = -np.log(v)
+        big = np.maximum(x, y)
+        r = np.minimum(x, y) / big
+        return x, y, big * np.exp(np.log1p(r**self.p) / self.p)
+
+    def cdf(self, u, v):
+        return np.exp(-self._w(u, v)[2])
+
+    def partial_u(self, u, v):
+        x, _, w = self._w(u, v)
+        return np.exp(x - w) * (x / w) ** (self.p - 1.0)
+
+    def density(self, u, v):
+        p = self.p
+        x, y, w = self._w(u, v)
+        # one exp of the summed logs: the factors exp(x + y - w) and
+        # ((x/w)*(y/w))**(p-1) can over- and underflow where c does not
+        return np.exp(x + y - w + (p - 1.0) * np.log((x / w) * (y / w))) * (1.0 + (p - 1.0) / w)
+
+    def conditional_v(self, u, L):
+        """v with dC/du(u, v) = exp(-L).
+
+        Newton steps on the convex increasing x*expm1(d) + (p-1)*d - L fall
+        monotonically from the upper bound min(log1p(L/x), L/(p-1)), which
+        is the root itself at p = 1.
+        """
+        p = self.p
+        x = -np.log(u)
+        d = np.log1p(L / x)
+        if p > 1.0:
+            d = np.minimum(d, L / (p - 1.0))
+
+        def residual(d):
+            e = np.expm1(d)
+            return x * e + (p - 1.0) * d - L, x * (e + 1.0) + (p - 1.0)
+
+        d = _monotone_newton(residual, d, -1.0)
+        return np.exp(-np.exp(np.log(x) + d + np.log(-np.expm1(-p * d)) / p))
+
 
 def _frailty_s(z):
     """s = sqrt(1 + 24/z) on (0, 1), also where 24/z overflows: below
@@ -123,7 +217,25 @@ def _frailty_log_s(z):
 
 
 class Frailty(NamedTuple):
-    """phi(z) = (a/2)*(sqrt(1 + 24/z) - 5) of family f3; interior points only."""
+    """phi(z) = (a/2)*(sqrt(1 + 24/z) - 5) of family f3; interior points only.
+
+    The copula does not depend on a, so every composition is taken at
+    a = 1 and never reads ``self.a``: the cdf composes psi(phi(u) + phi(v))
+    at a = 1, and dC/du and the density are closed forms in
+    s = sqrt(1 + 24/z) (``_frailty_s``) and S = s_u + s_v,
+
+        dC/du   = (S-5)/s_u * [(s_u-1)/(S-6) * (s_u+1)/(S-4)]**2
+        c(u, v) = (3(S-5)**2 + 1)/48 * [(s_u**2-1)(s_v**2-1)]**2
+                  / (((S-6)(S-4))**3 * s_u * s_v)
+
+    evaluated as products of ratios of order one, so they stay finite
+    where psi'(t) and phi'(u) under- and overflow (u below about 1e-150).
+
+    ``conditional_v`` solves dC/du(u, v) = exp(-L) for d = phi(v) >= 0 at
+    a = 1: 2*log1p(4d(s+d)/(24/u)) - log1p(2d/s) = L with s = s_u, a
+    concave increasing function (its left side is -ln dC/du); then
+    v = psi(d) = 6/((d+2)(d+3)).
+    """
 
     a: float
 
@@ -201,8 +313,54 @@ class Frailty(NamedTuple):
         return False
 
     def ratio(self, z):
-        s = np.sqrt(1.0 + 24.0 / z)
-        return (5.0 - s) * s * z * z / 12.0
+        # (5 - s)*s*z*z/12, whose s*s overflows below z = 1e-300; there the
+        # product is grouped as ((5 - s)*z)*(s*z)/12 instead
+        s = _frailty_s(z)
+        with np.errstate(over="ignore"):
+            out = (5.0 - s) * s * z * z / 12.0
+        return np.where(z < 1e-300, (5.0 - s) * z * (s * z) / 12.0, out)
+
+    def cdf(self, u, v):
+        one = Frailty(1.0)
+        return one.psi(one.phi(u) + one.phi(v))
+
+    def partial_u(self, u, v):
+        su = _frailty_s(u)
+        ss = su + _frailty_s(v)
+        au = (su - 1.0) / (ss - 6.0)
+        bu = (su + 1.0) / (ss - 4.0)
+        return (ss - 5.0) / su * au * bu * (au * bu)
+
+    def density(self, u, v):
+        su, sv = _frailty_s(u), _frailty_s(v)
+        ss = su + sv
+        # (3(S-5)**2 + 1)/((S-6)(S-4)) = 3 + 4/((S-6)(S-4)), and
+        # (s**2 - 1)/s = s - 1/s; each group below, and each partial
+        # product in it, lies between min(s_u, s_v)**2/S and min(s_u, s_v)
+        head = (3.0 + 4.0 / (ss - 6.0) / (ss - 4.0)) / 48.0
+        gu = (sv - 1.0) / (ss - 6.0) * (su - 1.0 / su) * ((sv + 1.0) / (ss - 4.0))
+        gv = (su - 1.0) / (ss - 6.0) * (sv - 1.0 / sv) * ((su + 1.0) / (ss - 4.0))
+        with np.errstate(over="ignore"):  # c itself is past the double range
+            return head * gu * gv
+
+    def conditional_v(self, u, L):
+        """v with dC/du(u, v) = exp(-L), solved at a = 1.
+
+        Newton steps on the concave increasing residual in d = phi(v) rise
+        monotonically from d = 0.  The residual is -(L + ln dC/du) in
+        closed form, in d itself: phi(u) + d, whose rounding would swamp a
+        small d, is never formed.
+        """
+        k = 24.0 / u
+        s = np.sqrt(1.0 + k)
+
+        def residual(d):
+            e = 4.0 * d * (s + d)
+            return (2.0 * np.log1p(e / k) - np.log1p(2.0 * d / s) - L,
+                    8.0 * (s + 2.0 * d) / (k + e) - 2.0 / (s + 2.0 * d))
+
+        d = _monotone_newton(residual, np.zeros_like(u), 1.0)
+        return 6.0 / ((d + 2.0) * (d + 3.0))
 
 
 class Family(NamedTuple):
@@ -302,17 +460,6 @@ def _ret(out, scalar):
     return float(out[0]) if scalar else out
 
 
-def psi_closed(g, tt):
-    """psi on an array in [0,inf], with psi(0) = 1 and psi(inf) = 0 exact."""
-    out = np.empty_like(tt)
-    out[tt == 0.0] = 1.0
-    out[np.isinf(tt)] = 0.0
-    m = (tt > 0.0) & np.isfinite(tt)
-    if m.any():
-        out[m] = g.psi(tt[m])
-    return out
-
-
 def zero_at_inf(fn, tt):
     """``fn`` (psi' or psi'') on an array in [0,inf], 0 at inf."""
     out = np.zeros_like(tt)
@@ -352,7 +499,13 @@ def psi(family: str, param: float | None, t):
     """Inverse generator psi(t) in [0,1]; psi(0) = 1 and psi(inf) = 0."""
     g = generator(family, param)
     tt, scalar = _nonneg(t, "t")
-    return _ret(psi_closed(g, tt), scalar)
+    out = np.empty_like(tt)
+    out[tt == 0.0] = 1.0
+    out[np.isinf(tt)] = 0.0
+    m = (tt > 0.0) & np.isfinite(tt)
+    if m.any():
+        out[m] = g.psi(tt[m])
+    return _ret(out, scalar)
 
 
 def _t_strict(family, g, t):

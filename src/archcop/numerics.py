@@ -11,11 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .families import DomainError
-
-
-class ConvergenceError(RuntimeError):
-    """A numerical routine failed to reach its requested tolerance."""
+from .families import ConvergenceError, DomainError
 
 
 @dataclass

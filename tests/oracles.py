@@ -7,7 +7,9 @@ closed form directly rather than through the generator composition, the
 f3 references compose the generator in mpmath rather than use the closed
 forms in s = sqrt(1 + 24/z), the conditional root bisects dC/du in v
 rather than solve the sampler's log-space equations, and the CSV
-references format element by element, without ``csvtext``.
+references format element by element, without ``csvtext``.  The frailty
+law's densities and its draw check the ``f3`` frailty construction from
+outside the sampler.
 """
 
 import io
@@ -164,6 +166,56 @@ def f3_cdf_mp(u, v):
     with mpmath.workdps(50):
         t = sum((mpmath.sqrt(1 + 24 / mpmath.mpf(z)) - 5) / 2 for z in (u, v))
         return 6 / ((t + 2) * (t + 3))
+
+
+def frailty_ratio_mp(z):
+    """phi(z)/phi'(z) of the f3 generator, to 50 digits: the quotient of
+    the textbook forms of ``frailty_phi_mp`` at alpha = 1."""
+    phi_z, dphi, _ = frailty_phi_mp(1, z)
+    with mpmath.workdps(50):
+        return phi_z / dphi
+
+
+def mbur_pdf(y, alpha: float):
+    """Density of the unit-interval base law: (6/a^2)(1 - y^(1/a^2)) y^(2/a^2 - 1)."""
+    if not alpha > 0.0:
+        raise DomainError("alpha out of domain (0,inf)")
+    yy = np.asarray(y, dtype=float)
+    if ((yy <= 0.0) | (yy >= 1.0)).any():
+        raise DomainError("y out of domain (0,1)")
+    b = 1.0 / (alpha * alpha)
+    out = 6.0 * b * (1.0 - yy**b) * yy ** (2.0 * b - 1.0)
+    return float(out) if np.isscalar(y) else out
+
+
+def frailty_pdf(w, alpha: float):
+    """Frailty density 6a(1 - e^(-aw)) e^(-2aw) on (0, inf).
+
+    This is the image of ``mbur_pdf`` under w = -ln(y)/a^3 and equals the
+    hypoexponential density with rates 2a and 3a.
+    """
+    if not alpha > 0.0:
+        raise DomainError("alpha out of domain (0,inf)")
+    ww = np.asarray(w, dtype=float)
+    if (ww <= 0.0).any():
+        raise DomainError("w out of domain (0,inf)")
+    out = 6.0 * alpha * (1.0 - np.exp(-alpha * ww)) * np.exp(-2.0 * alpha * ww)
+    return float(out) if np.isscalar(w) else out
+
+
+def sample_frailty(alpha: float, rng: np.random.Generator, size=None):
+    """Draw the frailty variable: E1/(2a) + E2/(3a), E_i unit exponentials.
+
+    The Laplace transform of this law is 6a^2/((t+2a)(t+3a)), i.e. the
+    ``f3`` inverse generator, which is what makes frailty sampling exact.
+    """
+    if not alpha > 0.0:
+        raise DomainError("alpha out of domain (0,inf)")
+    n = 1 if size is None else int(size)
+    u = rng.random((n, 2))
+    e = -np.log1p(-u)
+    gamma = e[:, 0] / (2.0 * alpha) + e[:, 1] / (3.0 * alpha)
+    return float(gamma[0]) if size is None else gamma
 
 
 def conditional_root_mp(family, param, u, q):

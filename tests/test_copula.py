@@ -1,12 +1,14 @@
 """Joint CDF, conditional, and density contracts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import archcop as ac
+from archcop.families import generator
 from oracles import central_mixed_second, f3_mp, f3_reduced_cdf, reference_gumbel_cdf
 
 INTERIOR = np.linspace(0.02, 0.98, 51)
@@ -173,6 +175,25 @@ class TestF3ClosedForms:
                 assert abs(got - exact) <= 4e-15 * exact
             else:
                 assert 0.0 <= got <= 2.0 * np.finfo(float).tiny
+
+    def test_density_past_the_double_range_is_quiet(self):
+        # c is about 1e309 here: the final product overflows to inf, its
+        # rounded value, without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ac.density("f3", 1.0, 1e-310, 1e-310) == math.inf
+
+    @pytest.mark.parametrize("a", [1e-300, 0.1, 1.0, 10.0, 1e300])
+    def test_kind_ignores_alpha(self, a):
+        # the f3 copula does not depend on alpha, so its kind composes at
+        # alpha = 1 for every alpha: the same bits, not just close values
+        rng = np.random.Generator(np.random.Philox(key=5))
+        u, v = rng.random((2, 10_000)) * (1.0 - 2e-15) + 1e-15
+        L = -np.log(rng.random(10_000) * (1.0 - 2e-15) + 1e-15)
+        g, one = generator("f3", a), generator("f3", 1.0)
+        for name in ("cdf", "partial_u", "density"):
+            assert np.array_equal(getattr(g, name)(u, v), getattr(one, name)(u, v)), name
+        assert np.array_equal(g.conditional_v(u, L), one.conditional_v(u, L))
 
     @pytest.mark.parametrize("u", [1e-310, 1e-300, 1e-200, 1e-160])
     def test_tiny_u(self, u):

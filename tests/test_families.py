@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import archcop as ac
+from archcop.families import generator_ratio
 from oracles import (central_first, central_second, f3_cdf_mp, frailty_phi_mp,
-                     frailty_psi_derivatives_mp, frailty_psi_mp)
+                     frailty_psi_derivatives_mp, frailty_psi_mp, frailty_ratio_mp)
 
 ALL_CASES = [
     ("f1", 0.1), ("f1", 0.4), ("f1", 0.6), ("f1", 1.0),
@@ -171,6 +172,9 @@ def test_f3_generator_at_tiny_z(z):
     assert ac.phi_prime("f3", 1e-300, z) == pytest.approx(
         float(frailty_phi_mp(1e-300, z)[1]), rel=1e-14)
     assert ac.cdf("f3", 1.0, z, 0.5) == pytest.approx(float(f3_cdf_mp(z, 0.5)), rel=1e-13)
+    # a subnormal ratio keeps only its absolute precision
+    ratio = float(frailty_ratio_mp(z))
+    assert abs(generator_ratio("f3", 1.0, z) - ratio) <= 1e-14 * abs(ratio) + 5e-324
 
 
 @pytest.mark.parametrize("a,t", [(1e-300, 1e300), (1.0, 1e155), (1.0, 1e200), (2.0, 1e308)])
@@ -253,7 +257,7 @@ def test_generator_ratio_matches_quotient():
     for family, param in ALL_CASES:
         direct = np.atleast_1d(ac.phi(family, param, z)) / np.atleast_1d(
             ac.phi_prime(family, param, z))
-        stable = np.atleast_1d(ac.generator_ratio(family, param, z))
+        stable = np.atleast_1d(generator_ratio(family, param, z))
         assert np.max(np.abs(direct - stable) / np.abs(direct)) < 1e-10
 
 

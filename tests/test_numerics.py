@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 
 import archcop as ac
-from archcop.numerics import bisect_monotone_batch
+from archcop.numerics import adaptive_quad, bisect_monotone_batch
 from oracles import central_mixed_second
 
 
 class TestAdaptiveQuad:
     def test_linear(self):
-        res = ac.adaptive_quad(lambda u: u, 0.0, 1.0, 1e-10)
+        res = adaptive_quad(lambda u: u, 0.0, 1.0, 1e-10)
         assert res.converged
         assert res.value == pytest.approx(0.5, abs=1e-10)
 
     def test_u_log_u(self):
-        res = ac.adaptive_quad(lambda u: 0.0 if u == 0.0 else u * math.log(u),
-                               0.0, 1.0, 1e-10)
+        res = adaptive_quad(lambda u: 0.0 if u == 0.0 else u * math.log(u),
+                            0.0, 1.0, 1e-10)
         assert res.converged
         assert res.value == pytest.approx(-0.25, abs=1e-9)
 
@@ -29,7 +29,7 @@ class TestAdaptiveQuad:
             s = math.sqrt(1.0 + 24.0 / u)
             return (5.0 - s) * s * u * u / 12.0
 
-        res = ac.adaptive_quad(f, 0.0, 1.0, 1e-8)
+        res = adaptive_quad(f, 0.0, 1.0, 1e-8)
         assert res.converged
         # frozen from 30-digit quadrature of the same integrand
         assert res.value == pytest.approx(-0.199227747727489, abs=1e-7)
@@ -39,25 +39,25 @@ class TestAdaptiveQuad:
     def test_polynomial_exactness(self):
         # single GK15 panel integrates polynomials up to degree 22 exactly
         for deg in (5, 13, 22):
-            res = ac.adaptive_quad(lambda u, d=deg: (d + 1) * u**d, 0.0, 1.0, 1e-9)
+            res = adaptive_quad(lambda u, d=deg: (d + 1) * u**d, 0.0, 1.0, 1e-9)
             assert abs(res.value - 1.0) <= 1e-12
 
     def test_error_estimate_bounds_true_error(self):
-        res = ac.adaptive_quad(lambda u: math.exp(u), 0.0, 1.0, 1e-11)
+        res = adaptive_quad(lambda u: math.exp(u), 0.0, 1.0, 1e-11)
         assert res.converged
         assert abs(res.value - (math.e - 1.0)) <= 1e-11
         assert res.abs_error_estimate <= 1e-11
 
     def test_reports_nonconvergence(self):
         # integrable singularity with an absurd tolerance exhausts the budget
-        res = ac.adaptive_quad(lambda u: 0.0 if u == 0.0 else u**-0.9,
-                               0.0, 1.0, 1e-14, max_evals=2000)
+        res = adaptive_quad(lambda u: 0.0 if u == 0.0 else u**-0.9,
+                            0.0, 1.0, 1e-14, max_evals=2000)
         assert not res.converged
         assert res.evaluations <= 2000
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ac.DomainError):
-            ac.adaptive_quad(lambda u: u, 1.0, 0.0, 1e-8)
+            adaptive_quad(lambda u: u, 1.0, 0.0, 1e-8)
 
 
 class TestBisectMonotone:

@@ -8,43 +8,44 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 import archcop as ac
-from archcop import cli, copula, numerics, sampling
+from archcop import cli, copula, families, numerics, sampling
 from archcop.csvtext import BLOCK
 from archcop.families import generator
-from oracles import LineCountingStream, conditional_root_mp, pairs_csv_loop
+from oracles import (LineCountingStream, conditional_root_mp, frailty_pdf, mbur_pdf,
+                     pairs_csv_loop, sample_frailty)
 
 
 class TestMburPdf:
     def test_vanishes_at_one(self):
-        assert ac.mbur_pdf(1.0 - 1e-12, 1.0) == pytest.approx(0.0, abs=1e-9)
+        assert mbur_pdf(1.0 - 1e-12, 1.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_alpha1_point(self):
         # 6 * (1 - y) * y at y = 0.25
-        assert ac.mbur_pdf(0.25, 1.0) == pytest.approx(1.125, rel=1e-14)
+        assert mbur_pdf(0.25, 1.0) == pytest.approx(1.125, rel=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_normalizes(self, alpha):
-        val, _ = integrate.quad(lambda y: ac.mbur_pdf(y, alpha), 0.0, 1.0)
+        val, _ = integrate.quad(lambda y: mbur_pdf(y, alpha), 0.0, 1.0)
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_domain(self):
         with pytest.raises(ac.DomainError):
-            ac.mbur_pdf(0.0, 1.0)
+            mbur_pdf(0.0, 1.0)
         with pytest.raises(ac.DomainError):
-            ac.mbur_pdf(0.5, -1.0)
+            mbur_pdf(0.5, -1.0)
 
 
 class TestFrailtyPdf:
     def test_vanishes_at_origin(self):
-        assert ac.frailty_pdf(1e-12, 2.0) == pytest.approx(0.0, abs=1e-9)
+        assert frailty_pdf(1e-12, 2.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_alpha1_point(self):
         expected = 6.0 * (1.0 - np.exp(-1.0)) * np.exp(-2.0)
-        assert ac.frailty_pdf(1.0, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert frailty_pdf(1.0, 1.0) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_normalizes(self, alpha):
-        val, _ = integrate.quad(lambda w: ac.frailty_pdf(w, alpha), 0.0, np.inf)
+        val, _ = integrate.quad(lambda w: frailty_pdf(w, alpha), 0.0, np.inf)
         assert val == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -53,22 +54,22 @@ class TestFrailtyPdf:
         w = np.geomspace(0.01, 5.0, 50) / alpha
         a3 = alpha**3
         y = np.exp(-a3 * w)
-        expected = ac.mbur_pdf(y, alpha) * a3 * y
-        got = ac.frailty_pdf(w, alpha)
+        expected = mbur_pdf(y, alpha) * a3 * y
+        got = frailty_pdf(w, alpha)
         assert np.max(np.abs(got - expected) / expected) <= 1e-10
 
 
 class TestFrailtyDraws:
     def test_mean(self):
         rng = np.random.Generator(np.random.Philox(key=99))
-        g = ac.sample_frailty(1.0, rng, size=100_000)
+        g = sample_frailty(1.0, rng, size=100_000)
         se = g.std(ddof=1) / np.sqrt(g.size)
         assert abs(g.mean() - 5.0 / 6.0) <= 3.0 * se
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_empirical_laplace_transform(self, t):
         rng = np.random.Generator(np.random.Philox(key=77))
-        g = ac.sample_frailty(1.0, rng, size=100_000)
+        g = sample_frailty(1.0, rng, size=100_000)
         emp = np.exp(-t * g)
         se = emp.std(ddof=1) / np.sqrt(emp.size)
         assert abs(emp.mean() - ac.psi("f3", 1.0, t)) <= 3.0 * se
@@ -76,7 +77,7 @@ class TestFrailtyDraws:
     def test_histogram_matches_pdf(self):
         alpha = 1.0
         rng = np.random.Generator(np.random.Philox(key=13))
-        g = ac.sample_frailty(alpha, rng, size=100_000)
+        g = sample_frailty(alpha, rng, size=100_000)
         edges = np.linspace(0.0, 4.0, 33)
         cdf = lambda w: 1.0 - 3.0 * np.exp(-2 * alpha * w) + 2.0 * np.exp(-3 * alpha * w)
         probs = np.diff(cdf(edges))
@@ -89,7 +90,7 @@ class TestFrailtyDraws:
 
     def test_scalar_draw(self):
         rng = np.random.Generator(np.random.Philox(key=1))
-        assert ac.sample_frailty(2.0, rng) > 0.0
+        assert sample_frailty(2.0, rng) > 0.0
 
 
 class TestConditionalSampler:
@@ -129,7 +130,7 @@ class TestConditionalSampler:
 
 def conditional_v(family, param, u, q):
     """The sampler's v for one (u, q)."""
-    v = sampling._conditional_v(generator(family, param), np.array([u]), np.array([q]))
+    v = generator(family, param).conditional_v(np.array([u]), -np.log(np.array([q])))
     return float(v[0])
 
 
@@ -190,7 +191,7 @@ class TestConditionalInversion:
 
     @pytest.mark.parametrize("family", ["f1", "f3"])
     def test_step_cap_exits_3(self, family, monkeypatch, capsys):
-        monkeypatch.setattr(sampling, "_NEWTON_CAP", 1)
+        monkeypatch.setattr(families, "_NEWTON_CAP", 1)
         code = cli.main(["sample", "--family", family, "--alpha", "0.5",
                          "--n", "1000", "--seed", "1"])
         out, err = capsys.readouterr()
