@@ -1,15 +1,16 @@
-"""The exact concordance count behind the Monte Carlo Kendall tau.
+"""The exact concordance counts behind the Monte Carlo Kendall tau.
 
-Knight (1966, JASA 61:436): sort the pairs by (x, y), count the inversions
-("swaps") of y in that order, and correct for ties:
+Knight (1966, JASA 61:436): sort the pairs by (x, y) and merge-sort the y
+ranks in that order.  Pairs tied in x are sorted by y and a pair tied only
+in y is never inverted, so the inversions are exactly the discordant pairs,
+and an entry's summed moves over the merge levels are D_i, its number of
+discordant partners.  With tx_i, ty_i and txy_i the sizes of its tie groups
+in x, in y and in both, the entry's concordance is
 
-    C - D = n0 - n1 - n2 + n3 - 2 * swaps,
+    c_i = sum_j sgn(x_i - x_j) sgn(y_i - y_j) = n - tx_i - ty_i + txy_i - 2 D_i.
 
-with n0 = n(n-1)/2 and n1, n2, n3 the pairs tied in x, in y and in both.
-Pairs tied in x are sorted by y, so they never count as swaps, and a pair
-tied only in y is never inverted; so swaps is exactly the discordant count.
-The inversions are counted by a bottom-up merge, one vectorised numpy pass
-per block width, so the whole count is O(n log n) with exact integers.
+One vectorised numpy pass per merge width makes this O(n log n) in exact
+integers.
 """
 
 from __future__ import annotations
@@ -21,41 +22,46 @@ KERNEL_BACKEND = "merge"
 
 def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
     """True where a run of equal entries begins in a sorted array."""
-    return np.r_[True, sorted_values[1:] != sorted_values[:-1]]
+    starts = np.ones(sorted_values.size, dtype=bool)
+    starts[1:] = sorted_values[1:] != sorted_values[:-1]
+    return starts
 
 
-def _tied_pairs(run_starts: np.ndarray) -> int:
-    """Pairs within the same run, given where each run begins."""
+def _run_sizes(run_starts: np.ndarray) -> np.ndarray:
+    """The size of each entry's run, given where each run begins."""
     runs = np.diff(np.r_[np.flatnonzero(run_starts), run_starts.size])
-    return int((runs * (runs - 1) // 2).sum())
+    return np.repeat(runs, runs)
 
 
-def _inversions(keys: np.ndarray) -> int:
-    """Pairs i < j with keys[i] > keys[j]; keys are integers in [0, n).
+def _discordant(keys: np.ndarray) -> np.ndarray:
+    """For each entry, the number of entries it is inverted with (keys in [0, n)).
 
     At width w the array is sorted within each block of w.  Tagging each
     entry with its 2w-block (block * n + key) and sorting stably merges the
-    two halves of every block in place, left entries first among equals.
-    Each left entry then moves right by the number of right entries
-    strictly below it, so the summed moves are the cross-half inversions.
+    two halves of every block in place, left entries first among equals, so
+    each entry moves past exactly the other-half entries it is inverted
+    with; ``ids`` follows each entry to its new position.
     """
     n = keys.size
     pos = np.arange(n, dtype=np.int64)
-    total = 0
+    ids = pos
+    moved = np.zeros(n, dtype=np.int64)
     w = 1
     while w < n:
         block = pos // (2 * w)
         tagged = block * n + keys
         order = np.argsort(tagged, kind="stable")
-        left = (pos // w) % 2 == 0
-        total += int(np.flatnonzero(left[order]).sum() - np.flatnonzero(left).sum())
+        ids = ids[order]
+        moved = moved[order] + np.abs(order - pos)
         keys = tagged[order] - block * n
         w *= 2
-    return total
+    out = np.empty_like(moved)
+    out[ids] = moved
+    return out
 
 
-def concordance_diff(x: np.ndarray, y: np.ndarray) -> int:
-    """Return (#concordant - #discordant) over all i<j pairs; ties count 0."""
+def concordance_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each pair's c_i = sum_j sgn(x_i - x_j) sgn(y_i - y_j), in input order."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.size
@@ -64,7 +70,14 @@ def concordance_diff(x: np.ndarray, y: np.ndarray) -> int:
     y_sorted = np.sort(y)
     ranks = np.searchsorted(y_sorted, ys)  # equal y, equal rank
     new_x = _run_starts(xs)
-    n1 = _tied_pairs(new_x)
-    n2 = _tied_pairs(_run_starts(y_sorted))
-    n3 = _tied_pairs(new_x | _run_starts(ys))
-    return n * (n - 1) // 2 - n1 - n2 + n3 - 2 * _inversions(ranks)
+    tx = _run_sizes(new_x)
+    ty = _run_sizes(_run_starts(y_sorted))[ranks]
+    txy = _run_sizes(new_x | _run_starts(ys))
+    c = np.empty(n, dtype=np.int64)
+    c[order] = n - tx - ty + txy - 2 * _discordant(ranks)
+    return c
+
+
+def concordance_diff(x: np.ndarray, y: np.ndarray) -> int:
+    """Return (#concordant - #discordant) over all i<j pairs; ties count 0."""
+    return int(concordance_counts(x, y).sum()) // 2

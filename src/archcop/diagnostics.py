@@ -5,7 +5,7 @@ uniform margins, 2-increasingness) on a lattice, probed for a singular
 component via the generator-ratio limit, and its Kendall tau is computed
 by three mutually independent routes: closed form, adaptive quadrature of
 the generator ratio, and the exact concordance statistic on Monte Carlo
-samples, counted in O(n log n) by Knight's merge (``_backend``).
+samples with its Hoeffding standard error, from Knight's merge (``_backend``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._backend import concordance_diff
+from ._backend import concordance_counts
 from .copula import cdf
 from .families import (
     TABLE,
@@ -26,9 +26,6 @@ from .families import (
     generator,
 )
 from .numerics import ConvergenceError, adaptive_quad
-
-# Blocks of the Monte Carlo tau's standard error.
-BLOCK_COUNT = 20
 
 # Tolerances used by the lattice audit.
 BOUNDARY_TOL = 1e-12
@@ -153,32 +150,23 @@ def kendall_tau_quadrature(
 
 
 def kendall_tau_mc(pairs: np.ndarray) -> TauEstimate:
-    """Exact concordance statistic (tau-a) with a block standard error.
+    """Exact concordance statistic (tau-a) with its Hoeffding standard error.
 
-    ``pairs`` is an (n, 2) array of at least 200 finite values; the count
-    over all n(n-1)/2 pairs is exact and takes O(n log n).  The standard
-    error comes from ``BLOCK_COUNT`` equal-size consecutive blocks.
+    ``pairs`` is an (n, 2) array of at least 2 finite values.  One O(n log n)
+    merge gives each pair's concordance c_i with the other n - 1; tau is
+    sum(c_i)/(n(n-1)), and the standard error 2 * sd(c_i/(n-1)) / sqrt(n).
     """
-    arr = np.ascontiguousarray(np.asarray(pairs, dtype=float))
+    arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise DomainError("pairs must be an (n, 2) array")
     if not np.isfinite(arr).all():
         raise DomainError("pairs must be finite (found NaN or infinity)")
     n = arr.shape[0]
-    if n < 10 * BLOCK_COUNT:
-        raise DomainError("need n >= 10 * block_count")
-    u = np.ascontiguousarray(arr[:, 0])
-    v = np.ascontiguousarray(arr[:, 1])
-    tau = concordance_diff(u, v) / (n * (n - 1) / 2.0)
-    size = n // BLOCK_COUNT
-    block_taus = np.empty(BLOCK_COUNT)
-    for b in range(BLOCK_COUNT):
-        s = b * size
-        ub = np.ascontiguousarray(u[s : s + size])
-        vb = np.ascontiguousarray(v[s : s + size])
-        block_taus[b] = concordance_diff(ub, vb) / (size * (size - 1) / 2.0)
-    se = float(np.std(block_taus, ddof=1) / np.sqrt(BLOCK_COUNT))
+    if n < 2:
+        raise DomainError("need n >= 2 pairs")
+    c = concordance_counts(arr[:, 0], arr[:, 1])
     return TauEstimate(
-        tau=float(tau), method="monte_carlo", error_bound=se, n=n,
-        note=f"block standard error from {BLOCK_COUNT} blocks",
+        tau=(int(c.sum()) // 2) / (n * (n - 1) / 2.0), method="monte_carlo",
+        error_bound=float(2.0 * np.std(c / (n - 1), ddof=1) / np.sqrt(n)), n=n,
+        note="Hoeffding standard error from per-point concordance counts",
     )

@@ -178,9 +178,9 @@ class LogPower(NamedTuple):
     def density(self, u, v):
         p = self.p
         x, y, w = self._w(u, v)
-        # one exp of the summed logs: the factors exp(x + y - w) and
-        # ((x/w)*(y/w))**(p-1) can over- and underflow where c does not
-        return np.exp(x + y - w + (p - 1.0) * np.log((x / w) * (y / w))) * (1.0 + (p - 1.0) / w)
+        # one exp of the summed logs, as its two factors can leave the double range
+        with np.errstate(over="ignore"):  # c itself is past the double range
+            return np.exp(x + y - w + (p - 1.0) * np.log((x / w) * (y / w))) * (1.0 + (p - 1.0) / w)
 
     def conditional_v(self, u, L):
         """v with dC/du(u, v) = exp(-L).

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import DomainError, F3, check_param, generator, psi
+from .families import DomainError, F3, generator
 
 _EPS = 1e-15
 
@@ -88,16 +88,14 @@ def sample_frailty_copula(alpha: float, n: int, seed: int) -> SampleBatch:
     """Sample n pairs from the ``f3`` family by the frailty construction:
     draw gamma, then (psi(E1/gamma), psi(E2/gamma)) with fresh unit
     exponentials E1, E2."""
-    check_param(F3, alpha)
+    g = generator(F3, alpha)
     if n < 1:
         raise DomainError("n must be >= 1")
     rng = _rng(seed)
     draws = rng.random((n, 4))
     e = -np.log1p(-draws)
     gamma = e[:, 0] / (2.0 * alpha) + e[:, 1] / (3.0 * alpha)
-    u = psi(F3, alpha, e[:, 2] / gamma)
-    v = psi(F3, alpha, e[:, 3] / gamma)
-    pairs = np.clip(np.column_stack([u, v]), _EPS, 1.0 - _EPS)
+    pairs = np.clip(g.psi(e[:, 2:] / gamma[:, None]), _EPS, 1.0 - _EPS)
     return SampleBatch(
         pairs=pairs, family=F3, alpha=float(alpha), seed=int(seed), method=FRAILTY
     )

@@ -55,6 +55,15 @@ def concordance_diff_bruteforce(x, y):
     return total
 
 
+def concordance_counts_bruteforce(x, y):
+    """Each pair's c_i = sum_j sign(x_i - x_j) * sign(y_i - y_j), ties
+    counting 0, by comparing it with every pair: O(n^2), exact integers."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return np.array([int((np.sign(x[i] - x) * np.sign(y[i] - y)).sum())
+                     for i in range(x.size)], dtype=np.int64)
+
+
 def central_mixed_second(f, u: float, v: float, h: float) -> float:
     """Mixed second difference (d2/dudv) of f at (u, v) with step h.
 

@@ -52,6 +52,16 @@ class TestEval:
     def test_usage_error_exit_2(self, capsys):
         assert main(["eval", "--family", "f9", "--u", "0.5", "--v", "0.5"]) == 2
 
+    @pytest.mark.parametrize("family,flag,param", [("f2", "--alpha", "0.05"),
+                                                   ("gumbel", "--theta", "400")])
+    def test_density_overflow_to_inf_is_silent(self, family, flag, param):
+        # the true density (1.13e309 for f2) is past the double range
+        done = subprocess.run(CLI + ["eval", "--family", family, flag, param,
+                                     "--u", "1e-310", "--v", "1e-310"],
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[1] == "c=inf"
+
 
 class TestGrid:
     def test_generator_monotone_convex(self, capsys, tmp_path):

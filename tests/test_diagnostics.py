@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import archcop as ac
-from archcop._backend import concordance_diff
+from archcop import _backend
+from archcop._backend import concordance_counts, concordance_diff
 from archcop.families import generator_ratio
-from oracles import concordance_diff_bruteforce
+from oracles import concordance_counts_bruteforce, concordance_diff_bruteforce
 
 F12_ALPHAS = [0.1, 0.4, 0.6, 1.0]
 F3_ALPHAS = [0.1, 1.0, 10.0]
@@ -147,9 +148,44 @@ class TestTauMonteCarlo:
         x = np.linspace(0.0, 1.0, 60001)
         assert ac.kendall_tau_mc(np.column_stack([x, x])).tau == 1.0
         assert ac.kendall_tau_mc(np.column_stack([x, 1.0 - x])).tau == -1.0
-        pairs = np.random.default_rng(0).random((100, 2))
-        with pytest.raises(ac.DomainError):
-            ac.kendall_tau_mc(pairs)  # n < 10*blocks
+        with pytest.raises(ac.DomainError, match="n >= 2"):
+            ac.kendall_tau_mc(np.array([[0.3, 0.6]]))
+        est = ac.kendall_tau_mc(np.random.default_rng(0).random((100, 2)))
+        assert np.isfinite(est.tau) and np.isfinite(est.error_bound) and est.n == 100
+
+    def test_hoeffding_standard_error(self):
+        # tau and its standard error from the O(n^2) per-point counts
+        pairs = np.round(ac.sample_conditional("gumbel", 2.0, 700, 5).pairs, 2)
+        c = concordance_counts_bruteforce(pairs[:, 0], pairs[:, 1])
+        est = ac.kendall_tau_mc(pairs)
+        assert est.tau == (int(c.sum()) // 2) / (700 * 699 / 2.0)
+        assert est.error_bound == pytest.approx(
+            2.0 * np.std(c / 699, ddof=1) / np.sqrt(700), rel=1e-12)
+
+    def test_one_merge_pass(self, monkeypatch):
+        calls = []
+        merge = _backend._discordant
+        monkeypatch.setattr(_backend, "_discordant", lambda keys: calls.append(1) or merge(keys))
+        ac.kendall_tau_mc(ac.sample_conditional("f1", 0.5, 1000, 3).pairs)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("family,param", [("f1", 0.5), ("f1", 0.01), ("gumbel", 4.0),
+                                              ("independence", None), ("f3", 1.0)])
+    def test_standard_error_calibration(self, family, param):
+        # over 40 seeds the mean standard error matches the spread of tau,
+        # and the standard error itself varies little from seed to seed
+        taus, ses = [], []
+        for seed in range(40):
+            if family == "f3":
+                pairs = ac.sample_frailty_copula(param, 4000, seed).pairs
+            else:
+                pairs = ac.sample_conditional(family, param, 4000, seed).pairs
+            est = ac.kendall_tau_mc(pairs)
+            taus.append(est.tau)
+            ses.append(est.error_bound)
+        ses = np.array(ses)
+        assert 0.8 <= ses.mean() / np.std(taus, ddof=1) <= 1.25
+        assert np.std(ses, ddof=1) / ses.mean() < 0.05
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
@@ -166,7 +202,8 @@ class TestTauMonteCarlo:
 
 
 class TestConcordanceKernel:
-    """The merge count must give the exact integer of the O(n^2) definition."""
+    """The merge counts must give the exact integers of the O(n^2) definition,
+    per pair and in total."""
 
     @staticmethod
     def _data(kind, n, rng):
@@ -189,6 +226,9 @@ class TestConcordanceKernel:
         got = concordance_diff(x, y)
         assert type(got) is int
         assert got == concordance_diff_bruteforce(x, y)
+        counts = concordance_counts(x, y)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, concordance_counts_bruteforce(x, y))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=40))
@@ -196,3 +236,5 @@ class TestConcordanceKernel:
         xy = np.array(rows, dtype=float).reshape(-1, 2) / 4.0
         x, y = xy[:, 0], xy[:, 1]
         assert concordance_diff(x, y) == concordance_diff_bruteforce(x, y)
+        np.testing.assert_array_equal(concordance_counts(x, y),
+                                      concordance_counts_bruteforce(x, y))
