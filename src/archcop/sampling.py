@@ -92,10 +92,10 @@ def sample_frailty_copula(alpha: float, n: int, seed: int) -> SampleBatch:
     if n < 1:
         raise DomainError("n must be >= 1")
     rng = _rng(seed)
-    draws = rng.random((n, 4))
-    e = -np.log1p(-draws)
+    e = -np.log1p(-rng.random((n, 4)))
     gamma = e[:, 0] / (2.0 * alpha) + e[:, 1] / (3.0 * alpha)
-    pairs = np.clip(g.psi(e[:, 2:] / gamma[:, None]), _EPS, 1.0 - _EPS)
+    pairs = np.column_stack([g.psi(e[:, 2] / gamma), g.psi(e[:, 3] / gamma)])
+    np.clip(pairs, _EPS, 1.0 - _EPS, out=pairs)
     return SampleBatch(
         pairs=pairs, family=F3, alpha=float(alpha), seed=int(seed), method=FRAILTY
     )
