@@ -1,16 +1,16 @@
-"""The exact concordance counts behind the Monte Carlo Kendall tau.
+"""The exact per-pair concordance behind the Monte Carlo Kendall tau.
 
 Knight (1966, JASA 61:436): sort the pairs by (x, y) and merge-sort the y
 ranks in that order.  Pairs tied in x are sorted by y and a pair tied only
 in y is never inverted, so the inversions are exactly the discordant pairs,
 and an entry's summed moves over the merge levels are D_i, its number of
 discordant partners.  With tx_i, ty_i and txy_i the sizes of its tie groups
-in x, in y and in both, the entry's concordance is
+in x, in y and in both, the entry's concordance difference is
 
-    c_i = sum_j sgn(x_i - x_j) sgn(y_i - y_j) = n - tx_i - ty_i + txy_i - 2 D_i.
+    c_i = sum_j sgn(x_i - x_j) sgn(y_i - y_j) = n - tx_i - ty_i + txy_i - 2 D_i,
 
-One vectorised numpy pass per merge width makes this O(n log n) in exact
-integers.
+and sum(c_i) / 2 is (#concordant - #discordant).  One vectorised numpy
+pass per merge width makes this O(n log n) in exact integers.
 """
 
 from __future__ import annotations
@@ -40,27 +40,30 @@ def _discordant(keys: np.ndarray) -> np.ndarray:
     entry with its 2w-block (block * n + key) and sorting stably merges the
     two halves of every block in place, left entries first among equals, so
     each entry moves past exactly the other-half entries it is inverted
-    with; ``ids`` follows each entry to its new position.
+    with.  The merges together are a stable sort of ``keys``, which tells
+    where each entry's summed moves end up.
     """
     n = keys.size
     pos = np.arange(n, dtype=np.int64)
-    ids = pos
     moved = np.zeros(n, dtype=np.int64)
+    merged = keys
     w = 1
     while w < n:
-        block = pos // (2 * w)
-        tagged = block * n + keys
+        block = pos // (2 * w) * n
+        tagged = merged + block
         order = np.argsort(tagged, kind="stable")
-        ids = ids[order]
-        moved = moved[order] + np.abs(order - pos)
-        keys = tagged[order] - block * n
+        merged = tagged[order]
+        merged -= block
+        moved = moved[order]
+        order -= pos
+        moved += np.abs(order, out=order)
         w *= 2
     out = np.empty_like(moved)
-    out[ids] = moved
+    out[np.argsort(keys, kind="stable")] = moved
     return out
 
 
-def concordance_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def concordance_diff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Each pair's c_i = sum_j sgn(x_i - x_j) sgn(y_i - y_j), in input order."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -70,14 +73,11 @@ def concordance_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y_sorted = np.sort(y)
     ranks = np.searchsorted(y_sorted, ys)  # equal y, equal rank
     new_x = _run_starts(xs)
-    tx = _run_sizes(new_x)
-    ty = _run_sizes(_run_starts(y_sorted))[ranks]
-    txy = _run_sizes(new_x | _run_starts(ys))
-    c = np.empty(n, dtype=np.int64)
-    c[order] = n - tx - ty + txy - 2 * _discordant(ranks)
-    return c
-
-
-def concordance_diff(x: np.ndarray, y: np.ndarray) -> int:
-    """Return (#concordant - #discordant) over all i<j pairs; ties count 0."""
-    return int(concordance_counts(x, y).sum()) // 2
+    c = n + _run_sizes(new_x | _run_starts(ys))
+    c -= _run_sizes(new_x)
+    c -= _run_sizes(_run_starts(y_sorted))[ranks]
+    del xs, ys, y_sorted, new_x  # the merge below is the peak of memory
+    c -= 2 * _discordant(ranks)
+    out = np.empty(n, dtype=np.int64)
+    out[order] = c
+    return out

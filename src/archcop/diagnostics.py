@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._backend import concordance_counts
+from ._backend import concordance_diff
 from .copula import cdf
 from .families import (
     TABLE,
@@ -164,7 +164,7 @@ def kendall_tau_mc(pairs: np.ndarray) -> TauEstimate:
     n = arr.shape[0]
     if n < 2:
         raise DomainError("need n >= 2 pairs")
-    c = concordance_counts(arr[:, 0], arr[:, 1])
+    c = concordance_diff(arr[:, 0], arr[:, 1])
     return TauEstimate(
         tau=(int(c.sum()) // 2) / (n * (n - 1) / 2.0), method="monte_carlo",
         error_bound=float(2.0 * np.std(c / (n - 1), ddof=1) / np.sqrt(n)), n=n,
