@@ -75,8 +75,7 @@ def grid_validity_report(family: str, param: float | None, grid_n: int = 100) ->
     if grid_n < 3:
         raise DomainError("grid_n must be >= 3")
     g = np.linspace(0.0, 1.0, grid_n + 1)
-    U, V = np.meshgrid(g, g, indexing="ij")
-    C = cdf(family, param, U, V)
+    C = cdf(family, param, g[:, None], g)
     boundary = max(float(np.abs(C[0, :]).max()), float(np.abs(C[:, 0]).max()))
     margin = max(float(np.abs(C[-1, :] - g).max()), float(np.abs(C[:, -1] - g).max()))
     vol = C[1:, 1:] - C[1:, :-1] - C[:-1, 1:] + C[:-1, :-1]

@@ -460,11 +460,17 @@ def _ret(out, scalar):
     return float(out[0]) if scalar else out
 
 
-def zero_at_inf(fn, tt):
-    """``fn`` (psi' or psi'') on an array in [0,inf], 0 at inf."""
-    out = np.zeros_like(tt)
-    m = np.isfinite(tt)
-    out[m] = fn(tt[m])
+def _derivative(direct, log_form, z):
+    """phi' or phi'': the kind's ``direct`` form where it is within 5e-13 of
+    sign*exp(mag) from its ``log_form`` (whose own error is below 3.5e-13),
+    else sign*exp(mag).  A product in the direct form can leave the double
+    range, or lose digits in a subnormal, where the value does not."""
+    with np.errstate(all="ignore"):
+        out = direct(z)
+        sign, mag = log_form(z)
+        ref = sign * np.exp(mag)
+        far = ~(np.abs(out - ref) <= 5e-13 * np.abs(ref))
+    out[far] = ref[far]
     return out
 
 
@@ -472,40 +478,28 @@ def phi(family: str, param: float | None, z):
     """Generator value phi(z) in [0, inf]; phi(1) = 0 and phi(0) = +inf."""
     g = generator(family, param)
     zz, scalar = _unit(z, "z")
-    out = np.empty_like(zz)
-    out[zz == 0.0] = np.inf
-    out[zz == 1.0] = 0.0
-    m = (zz > 0.0) & (zz < 1.0)
-    if m.any():
-        out[m] = g.phi(zz[m])
-    return _ret(out, scalar)
+    return _ret(np.piecewise(zz, [zz == 0.0, zz == 1.0], [np.inf, 0.0, g.phi]), scalar)
 
 
 def phi_prime(family: str, param: float | None, z):
     """First derivative of the generator; strictly negative on (0,1)."""
     g = generator(family, param)
     zz, scalar = _unit(z, "z", open_interval=True)
-    return _ret(g.phi_prime(zz), scalar)
+    return _ret(_derivative(g.phi_prime, g.log_phi_prime, zz), scalar)
 
 
 def phi_double_prime(family: str, param: float | None, z):
     """Second derivative of the generator; strictly positive on (0,1)."""
     g = generator(family, param)
     zz, scalar = _unit(z, "z", open_interval=True)
-    return _ret(g.phi_double_prime(zz), scalar)
+    return _ret(_derivative(g.phi_double_prime, g.log_phi_double_prime, zz), scalar)
 
 
 def psi(family: str, param: float | None, t):
     """Inverse generator psi(t) in [0,1]; psi(0) = 1 and psi(inf) = 0."""
     g = generator(family, param)
     tt, scalar = _nonneg(t, "t")
-    out = np.empty_like(tt)
-    out[tt == 0.0] = 1.0
-    out[np.isinf(tt)] = 0.0
-    m = (tt > 0.0) & np.isfinite(tt)
-    if m.any():
-        out[m] = g.psi(tt[m])
-    return _ret(out, scalar)
+    return _ret(np.piecewise(tt, [tt == 0.0, np.isinf(tt)], [1.0, 0.0, g.psi]), scalar)
 
 
 def _t_strict(family, g, t):
@@ -519,14 +513,14 @@ def psi_prime(family: str, param: float | None, t):
     """First derivative of the inverse generator; negative on (0, inf)."""
     g = generator(family, param)
     tt, scalar = _t_strict(family, g, t)
-    return _ret(zero_at_inf(g.psi_prime, tt), scalar)
+    return _ret(np.piecewise(tt, [np.isinf(tt)], [0.0, g.psi_prime]), scalar)
 
 
 def psi_double_prime(family: str, param: float | None, t):
     """Second derivative of the inverse generator; positive on (0, inf)."""
     g = generator(family, param)
     tt, scalar = _t_strict(family, g, t)
-    return _ret(zero_at_inf(g.psi_double_prime, tt), scalar)
+    return _ret(np.piecewise(tt, [np.isinf(tt)], [0.0, g.psi_double_prime]), scalar)
 
 
 def generator_ratio(family: str, param: float | None, z):
@@ -540,10 +534,7 @@ def generator_ratio(family: str, param: float | None, z):
     zz, scalar = _unit(z, "z")
     if (zz == 1.0).any():
         raise DomainError("z out of domain [0,1)")
-    out = np.zeros_like(zz)
-    m = zz > 0.0
-    out[m] = g.ratio(zz[m])
-    return _ret(out, scalar)
+    return _ret(np.piecewise(zz, [zz == 0.0], [0.0, g.ratio]), scalar)
 
 
 @dataclass
@@ -593,10 +584,12 @@ def check_generator_conditions(
     if probe_count < 3:
         raise DomainError("probe_count must be >= 3")
     probes = np.geomspace(1e-12, 1.0 - 1e-3, probe_count)
-    s1, l1 = g.log_phi_prime(probes)
-    s2, l2 = g.log_phi_double_prime(probes)
-    i1 = _argmax_signed(s1, l1)
-    i2 = _argmax_signed(-s2, l2)
+    with np.errstate(over="ignore"):  # as p nears the double limit, the logs are inf
+        s1, l1 = g.log_phi_prime(probes)
+        s2, l2 = g.log_phi_double_prime(probes)
+        diverges = g.log_phi(1e-12) > np.log(10.0) + g.log_phi(0.5)
+    z1 = float(probes[_argmax_signed(s1, l1)])
+    z2 = float(probes[_argmax_signed(-s2, l2)])
     return ConditionReport(
         family=family,
         param=param,
@@ -604,7 +597,7 @@ def check_generator_conditions(
         zero_at_one=phi(family, param, 1.0) == 0.0,
         strictly_decreasing=bool(np.all(s1 < 0.0)),
         convex=bool(np.all(s2 > 0.0)),
-        diverges_at_zero=bool(g.log_phi(1e-12) > np.log(10.0) + g.log_phi(0.5)),
-        worst_phi_prime=(float(probes[i1]), float(g.phi_prime(probes[i1]))),
-        worst_phi_double_prime=(float(probes[i2]), float(g.phi_double_prime(probes[i2]))),
+        diverges_at_zero=bool(diverges),
+        worst_phi_prime=(z1, phi_prime(family, param, z1)),
+        worst_phi_double_prime=(z2, phi_double_prime(family, param, z2)),
     )

@@ -35,10 +35,6 @@ FRAILTY = "frailty"
 @dataclass
 class SampleBatch:
     pairs: np.ndarray  # (n, 2), every coordinate strictly inside (0,1)
-    family: str
-    alpha: float | None
-    seed: int
-    method: str
 
     def to_csv(self, out=None) -> str | None:
         """The pairs as CSV text (see ``csvtext``) under a ``u,v`` header:
@@ -75,13 +71,7 @@ def sample_conditional(family: str, param: float | None, n: int, seed: int) -> S
     u = np.clip(draws[:, 0], _EPS, 1.0 - _EPS)
     v = g.conditional_v(u, -np.log(np.clip(draws[:, 1], _EPS, 1.0 - _EPS)))
     v = np.clip(v, _EPS, 1.0 - _EPS)
-    return SampleBatch(
-        pairs=np.column_stack([u, v]),
-        family=family,
-        alpha=param,
-        seed=int(seed),
-        method=CONDITIONAL,
-    )
+    return SampleBatch(np.column_stack([u, v]))
 
 
 def sample_frailty_copula(alpha: float, n: int, seed: int) -> SampleBatch:
@@ -96,6 +86,4 @@ def sample_frailty_copula(alpha: float, n: int, seed: int) -> SampleBatch:
     gamma = e[:, 0] / (2.0 * alpha) + e[:, 1] / (3.0 * alpha)
     pairs = np.column_stack([g.psi(e[:, 2] / gamma), g.psi(e[:, 3] / gamma)])
     np.clip(pairs, _EPS, 1.0 - _EPS, out=pairs)
-    return SampleBatch(
-        pairs=pairs, family=F3, alpha=float(alpha), seed=int(seed), method=FRAILTY
-    )
+    return SampleBatch(pairs)

@@ -163,6 +163,18 @@ def frailty_phi_mp(a, z):
         return a / 2 * (s - 5), -6 * a / (z**2 * s), 12 * a / (z**3 * s) - 72 * a / (z**4 * s**3)
 
 
+def log_power_phi_mp(c, p, z):
+    """(phi', phi'') of the log-power generator (c*x)**p, x = -ln z, at z,
+    to 50 digits: the textbook -p*c*(c*x)**(p-1)/z and
+    p*c**2*(c*x)**(p-2)*(p - 1 + x)/z**2 in mpmath on the exact double
+    inputs, with none of the production code's log forms."""
+    with mpmath.workdps(50):
+        c, p, z = mpmath.mpf(c), mpmath.mpf(p), mpmath.mpf(z)
+        x = -mpmath.log(z)
+        return (-p * c * (c * x) ** (p - 1) / z,
+                p * c * c * (c * x) ** (p - 2) * (p - 1 + x) / z**2)
+
+
 def frailty_psi_mp(a, t):
     """psi(t) = 6a**2/((t + 2a)(t + 3a)) of f3, to 50 digits."""
     with mpmath.workdps(50):

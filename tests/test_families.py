@@ -2,13 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import archcop as ac
-from archcop.families import generator_ratio
-from oracles import (central_first, central_second, f3_cdf_mp, frailty_phi_mp,
+from archcop.families import generator, generator_ratio
+from oracles import (central_first, central_second, f3_cdf_mp, frailty_phi_mp, log_power_phi_mp,
                      frailty_psi_derivatives_mp, frailty_psi_mp, frailty_ratio_mp)
 
 ALL_CASES = [
@@ -181,6 +182,74 @@ def test_f3_generator_at_tiny_z(z):
 def test_f3_psi_past_the_double_range(a, t):
     # t/a or (t/a + 2)(t/a + 3) overflows, while psi is 0 or a small double
     assert ac.psi("f3", a, t) == pytest.approx(float(frailty_psi_mp(a, t)), rel=1e-15)
+
+
+def powers(base, lo, hi):
+    """base**e for e uniform in [lo, hi]: every exponent range is drawn."""
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: base**e)
+
+
+# z in (0, 1) by decade as well as by hypothesis's own choice of floats
+log_power_z = st.one_of(st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
+                        powers(10.0, -300.0, 0.0).filter(lambda z: z < 1.0))
+derivative_cases = st.one_of(
+    st.tuples(st.sampled_from(["f1", "f2"]),
+              st.one_of(st.floats(min_value=1e-3, max_value=1.0), powers(10.0, -3.0, 0.0)),
+              log_power_z),
+    st.tuples(st.just("gumbel"),
+              st.one_of(st.floats(min_value=1.0, max_value=1e3), powers(10.0, 0.0, 3.0)),
+              log_power_z),
+    st.tuples(st.just("f3"), powers(10.0, -300.0, 300.0),
+              st.one_of(st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+                        powers(2.0, -1074.0, 0.0).filter(lambda z: z < 1.0))),
+)
+
+
+@given(case=derivative_cases)
+@settings(max_examples=400, deadline=None)
+def test_generator_derivatives_match_mpmath(case):
+    """phi' and phi'' are correct wherever their true value is a normal
+    double, and past the normal range are 0 or subnormal, or infinite,
+    with the true value's sign; no warning is raised."""
+    family, param, z = case
+    if family == "f3":
+        exact, rtol = frailty_phi_mp(param, z)[1:], 1e-12
+    else:
+        g = generator(family, param)
+        exact = log_power_phi_mp(g.c, g.p, z)
+        # -ln z is rounded once, and the power (c*x)**(p - 1) turns that
+        # rounding into p - 1 of them (p = 1e6 for f2 at alpha = 1e-3)
+        rtol = 1e-12 + 2.0 * g.p * np.finfo(float).eps
+    for fn, want in zip((ac.phi_prime, ac.phi_double_prime), exact):
+        got = fn(family, param, z)
+        if abs(want) > np.finfo(float).max:
+            assert got == math.copysign(math.inf, want)
+        elif abs(want) < TINY:
+            assert abs(got) < TINY and math.copysign(1.0, got) == mpmath.sign(want)
+        else:
+            assert abs(got - float(want)) <= rtol * abs(float(want))
+
+
+@pytest.mark.parametrize("family,param", ALL_CASES)
+def test_exact_branches_on_mixed_arrays(family, param):
+    """Each function answers an array holding its edge points bit for bit
+    as it answers them one at a time, keeps a 2-D shape and maps an empty
+    array to an empty one."""
+    at_zero = [] if generator(family, param).singular_at_zero() else [0.0]
+    for fn, points in [
+        (ac.phi, [0.0, -0.0, 1e-310, 0.3, 1.0]),
+        (ac.psi, [0.0, 1e-300, 2.0, math.inf]),
+        (ac.psi_prime, [*at_zero, 1e-300, 2.0, math.inf]),
+        # at t = 1e-300 psi'' of f1, f2 and gumbel overflows with a warning
+        (ac.psi_double_prime, [*at_zero, 1e-100, 2.0, math.inf]),
+        (generator_ratio, [0.0, 1e-310, 0.5]),
+    ]:
+        got = fn(family, param, np.array(points))
+        one_by_one = np.array([fn(family, param, x) for x in points])
+        assert got.tobytes() == one_by_one.tobytes()
+        square = np.resize(np.array(points), (2, 3))
+        assert fn(family, param, square).tobytes() == np.resize(one_by_one, (2, 3)).tobytes()
+        assert fn(family, param, np.array([])).shape == (0,)
 
 
 @pytest.mark.parametrize("family,param", ALL_CASES)
