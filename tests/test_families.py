@@ -240,7 +240,7 @@ def test_exact_branches_on_mixed_arrays(family, param):
         (ac.phi, [0.0, -0.0, 1e-310, 0.3, 1.0]),
         (ac.psi, [0.0, 1e-300, 2.0, math.inf]),
         (ac.psi_prime, [*at_zero, 1e-300, 2.0, math.inf]),
-        # at t = 1e-300 psi'' of f1, f2 and gumbel overflows with a warning
+        # at t = 1e-300, psi'' of the log-power kind with p > 1 overflows with a warning
         (ac.psi_double_prime, [*at_zero, 1e-100, 2.0, math.inf]),
         (generator_ratio, [0.0, 1e-310, 0.5]),
     ]:
