@@ -41,8 +41,8 @@ def _resolve_param(args) -> float | None:
     return param
 
 
-def _add_family_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=FAMILIES)
+def _add_family_args(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--family", required=required, choices=FAMILIES)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--theta", type=float, default=None)
 
@@ -191,9 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("tau", help="estimate Kendall tau, print JSON")
-    p.add_argument("--family", choices=FAMILIES, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
+    _add_family_args(p, required=False)
     p.add_argument("--method", required=True, choices=["closed", "quadrature", "mc"])
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)

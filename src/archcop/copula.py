@@ -6,8 +6,9 @@ All three quantities come from the generator identity
     dC/du   = psi'(phi(u) + phi(v)) * phi'(u)
     c(u, v) = psi''(phi(u) + phi(v)) * phi'(u) * phi'(v)
 
-This module validates the arguments and answers on the boundary of the
-unit square by exact branches.  The family's generator kind (see
+This module validates the arguments and answers on the edge of the unit
+square by one exact rule, C(u, v) = min(u, v), which is what a grounded
+copula with uniform margins is there.  The family's generator kind (see
 ``families``) evaluates each composition on interior points, in forms
 that stay finite where phi, psi and their derivatives leave the double
 range.
@@ -30,41 +31,30 @@ def _broadcast_unit(u, v, *, open_u=False, open_v=False):
 def cdf(family: str, param: float | None, u, v):
     """Copula value C(u, v); symmetric in its arguments.
 
-    Grounded and uniform-margin boundaries are exact branches: C is 0
-    whenever a coordinate is 0, and equals the other coordinate whenever
-    a coordinate is 1.
+    On the edge of the unit square C(u, v) = min(u, v) exactly: C is
+    grounded (0 where a coordinate is 0) and has uniform margins (the
+    other coordinate where one is 1).
     """
     g = generator(family, param)
     uu, vv, scalar = _broadcast_unit(u, v)
-    out = np.empty_like(uu)
-    zero = (uu == 0.0) | (vv == 0.0)
-    out[zero] = 0.0
-    uedge = (vv == 1.0) & ~zero
-    out[uedge] = uu[uedge]
-    vedge = (uu == 1.0) & ~zero & ~uedge
-    out[vedge] = vv[vedge]
-    m = ~(zero | uedge | vedge)
-    if m.any():
-        out[m] = g.cdf(uu[m], vv[m])
+    out = np.minimum(uu, vv)
+    out += 0.0  # -0.0 prints as 0.0
+    m = (0.0 < uu) & (uu < 1.0) & (0.0 < vv) & (vv < 1.0)
+    out[m] = g.cdf(uu[m], vv[m])
     return _ret(out, scalar)
 
 
 def partial_u(family: str, param: float | None, u, v):
     """Conditional distribution dC/du = P(V <= v | U = u), for u in (0,1).
 
-    Equals 0 at v=0 and 1 at v=1 (exact branches); clipped to [0,1]
+    Equals v on the edge v in {0, 1} (exact branches); clipped to [0,1]
     against sub-ulp rounding excursions.
     """
     g = generator(family, param)
     uu, vv, scalar = _broadcast_unit(u, v, open_u=True)
-    out = np.empty_like(uu)
-    lo = vv == 0.0
-    hi = vv == 1.0
-    out[lo] = 0.0
-    out[hi] = 1.0
-    m = ~(lo | hi)
-    if m.any():
-        out[m] = g.partial_u(uu[m], vv[m])
+    out = vv + 0.0  # a copy, with -0.0 as 0.0
+    m = (0.0 < vv) & (vv < 1.0)
+    out[m] = g.partial_u(uu[m], vv[m])
     np.clip(out, 0.0, 1.0, out=out)
     return _ret(out, scalar)
 

@@ -210,12 +210,6 @@ def _frailty_s(z):
                     np.sqrt(1.0 + 24.0 / np.maximum(z, 1e-300)))
 
 
-def _frailty_log_s(z):
-    """ln s = ln(1 + 24/z)/2 on (0, 1), split at 1e-300 as ``_frailty_s``."""
-    return np.where(z < 1e-300, 0.5 * (np.log(24.0) - np.log(z)),
-                    0.5 * np.log1p(24.0 / np.maximum(z, 1e-300)))
-
-
 class Frailty(NamedTuple):
     """phi(z) = (a/2)*(sqrt(1 + 24/z) - 5) of family f3; interior points only.
 
@@ -229,7 +223,10 @@ class Frailty(NamedTuple):
                   / (((S-6)(S-4))**3 * s_u * s_v)
 
     evaluated as products of ratios of order one, so they stay finite
-    where psi'(t) and phi'(u) under- and overflow (u below about 1e-150).
+    where psi'(t) and phi'(u) under- and overflow (u near 0).  The frailty
+    sampler draws at a = 1 too.  The generator's formulas read a, in one
+    form each that is correct for every z in (0, 1); where 6a or 12a
+    overflows, the public phi' and phi'' take the log forms.
 
     ``conditional_v`` solves dC/du(u, v) = exp(-L) for d = phi(v) >= 0 at
     a = 1: 2*log1p(4d(s+d)/(24/u)) - log1p(2d/s) = L with s = s_u, a
@@ -239,44 +236,32 @@ class Frailty(NamedTuple):
 
     a: float
 
+    # a times (s - 5)/2, as 0.5*a rounds to 0 at the smallest subnormal a
     def phi(self, z):
-        return 0.5 * self.a * (_frailty_s(z) - 5.0)
+        return self.a * (0.5 * (_frailty_s(z) - 5.0))
 
-    # phi' = -6a/(z**2 s) and phi'' = 12a(z + 18)/(z**3 s (z + 24)).  Where
-    # z*z (below 1.5e-154) or z**4 (below 1.2e-77) is no longer a normal
-    # double, they divide by z one factor at a time instead: z*s =
-    # sqrt(z*z + 24z) stays normal, and each step only grows, so a step
-    # overflows only when the value does.
+    # phi' = -6a/(z**2 s) and phi'' = 12a(z + 18)/(z**3 s (z + 24)), with
+    # z divided out one factor at a time: z*s = sqrt(z*z + 24z) stays a
+    # normal double where z*z does not, and each step only grows, so a
+    # step overflows only when the value does.
     def phi_prime(self, z):
-        a = self.a
-        zn = np.maximum(z, 1e-150)
-        with np.errstate(over="ignore"):
-            small = -6.0 * a / (z * _frailty_s(z)) / z
-        return np.where(z < 1e-150, small, -6.0 * a / (zn * zn * _frailty_s(zn)))
+        return -6.0 * self.a / (z * _frailty_s(z)) / z
 
     def phi_double_prime(self, z):
-        a = self.a
-        zn = np.maximum(z, 1e-75)
-        s = _frailty_s(zn)
-        z2 = zn * zn
-        with np.errstate(over="ignore"):
-            small = 12.0 * a / (z * _frailty_s(z)) * ((z + 18.0) / (z + 24.0)) / z / z
-        return np.where(z < 1e-75, small,
-                        12.0 * a / (z2 * zn * s) - 72.0 * a / (z2 * z2 * s * s * s))
+        return 12.0 * self.a / (z * _frailty_s(z)) * ((z + 18.0) / (z + 24.0)) / z / z
 
     def log_phi(self, z):
-        return np.log(0.5 * self.a) + np.log(_frailty_s(z) - 5.0)
+        return np.log(self.a) + np.log(0.5 * (_frailty_s(z) - 5.0))
 
     def log_phi_prime(self, z):
         a = self.a
-        mag = np.log(6.0 * abs(a)) - 2.0 * np.log(z) - _frailty_log_s(z)
+        mag = np.log(6.0 * abs(a)) - 2.0 * np.log(z) - np.log(_frailty_s(z))
         return np.full_like(z, -np.sign(a)), mag
 
     def log_phi_double_prime(self, z):
-        # phi'' = 12a (z + 18) / (z**3 s (z + 24)), s = sqrt(1 + 24/z)
         a = self.a
         mag = (np.log(12.0 * abs(a)) + np.log(np.abs(z + 18.0)) - 3.0 * np.log(z)
-               - _frailty_log_s(z) - np.log(z + 24.0))
+               - np.log(_frailty_s(z)) - np.log(z + 24.0))
         return np.sign(a) * np.sign(z + 18.0), mag
 
     # psi in s = t/a, so that no power of a is formed: 6a**2 and
@@ -313,12 +298,10 @@ class Frailty(NamedTuple):
         return False
 
     def ratio(self, z):
-        # (5 - s)*s*z*z/12, whose s*s overflows below z = 1e-300; there the
-        # product is grouped as ((5 - s)*z)*(s*z)/12 instead
+        # (5 - s)*s*z*z/12, grouped so that no product leaves the double
+        # range: s*z = sqrt(z*z + 24z) is below 5
         s = _frailty_s(z)
-        with np.errstate(over="ignore"):
-            out = (5.0 - s) * s * z * z / 12.0
-        return np.where(z < 1e-300, (5.0 - s) * z * (s * z) / 12.0, out)
+        return (5.0 - s) * z * (s * z) / 12.0
 
     def cdf(self, u, v):
         one = Frailty(1.0)
@@ -352,7 +335,7 @@ class Frailty(NamedTuple):
         small d, is never formed.
         """
         k = 24.0 / u
-        s = np.sqrt(1.0 + k)
+        s = _frailty_s(u)
 
         def residual(d):
             e = 4.0 * d * (s + d)

@@ -4,7 +4,8 @@ Two independent constructions are provided: conditional-distribution
 inversion, which works for every family, and exact frailty sampling for
 the ``f3`` family (the frailty variable is a sum of two independent
 exponentials with rates 2*alpha and 3*alpha, whose Laplace transform is
-exactly that family's inverse generator).
+exactly that family's inverse generator; it is drawn at alpha = 1, as the
+copula does not depend on alpha).
 
 Conditional inversion solves dC/du(u, v) = q for v.  Each generator kind
 turns that into one monotone equation in log space, in L = -ln q, which
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import DomainError, F3, generator
+from .families import DomainError, F3, Frailty, check_param, generator
 
 _EPS = 1e-15
 
@@ -75,15 +76,17 @@ def sample_conditional(family: str, param: float | None, n: int, seed: int) -> S
 
 
 def sample_frailty_copula(alpha: float, n: int, seed: int) -> SampleBatch:
-    """Sample n pairs from the ``f3`` family by the frailty construction:
-    draw gamma, then (psi(E1/gamma), psi(E2/gamma)) with fresh unit
-    exponentials E1, E2."""
-    g = generator(F3, alpha)
+    """Sample n pairs from the ``f3`` family by the frailty construction at
+    alpha = 1, which every alpha shares (the copula does not depend on it):
+    gamma = E1/2 + E2/3, then (psi(E3/gamma), psi(E4/gamma)) from unit
+    exponentials E1..E4.  So alpha is only validated."""
+    check_param(F3, alpha)
     if n < 1:
         raise DomainError("n must be >= 1")
+    g = Frailty(1.0)
     rng = _rng(seed)
     e = -np.log1p(-rng.random((n, 4)))
-    gamma = e[:, 0] / (2.0 * alpha) + e[:, 1] / (3.0 * alpha)
+    gamma = e[:, 0] / 2.0 + e[:, 1] / 3.0
     pairs = np.column_stack([g.psi(e[:, 2] / gamma), g.psi(e[:, 3] / gamma)])
     np.clip(pairs, _EPS, 1.0 - _EPS, out=pairs)
     return SampleBatch(pairs)
