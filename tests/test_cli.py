@@ -98,6 +98,20 @@ class TestGrid:
         assert texts[0].count(b"\n") == 21 * 21 + 1
         assert all(t == texts[0] for t in texts)
 
+    def test_f3_frailty_sample_alpha_invariant(self, capsys, tmp_path):
+        # the frailty draw is taken at alpha = 1, which no alpha can under-
+        # or overflow
+        texts = []
+        for alpha in ("1", "0.1", "10", "1e-300", "1e300", "5e-324",
+                      "1.7976931348623157e308"):
+            f = tmp_path / f"sample{alpha}.csv"
+            assert run_cli(capsys, "sample", "--family", "f3", "--alpha", alpha,
+                           "--n", "200", "--seed", "5", "--method", "frailty",
+                           "--out", str(f)) == (0, "", "")
+            texts.append(f.read_bytes())
+        assert texts[0].count(b"\n") == 201
+        assert all(t == texts[0] for t in texts)
+
 
 class TestCheck:
     def test_pass_exit_0(self, capsys):
@@ -110,6 +124,12 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "--family", "f1", "--alpha", "0.1",
                                "--grid-n", "100")
         assert code == 0
+
+    def test_f3_smallest_alpha(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--family", "f3", "--alpha", "5e-324",
+                                 "--grid-n", "10")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["generator_conditions"]["diverges_at_zero"] is True
 
     def test_gumbel_domain_error(self, capsys):
         code, _, _ = run_cli(capsys, "check", "--family", "gumbel",

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import archcop as ac
 from archcop.families import generator
 from oracles import central_mixed_second, f3_mp, f3_reduced_cdf, reference_gumbel_cdf
+from test_families import ALL_CASES
 
 INTERIOR = np.linspace(0.02, 0.98, 51)
 
@@ -233,3 +234,30 @@ def test_inputs_unchanged_and_not_shared(family, param):
         for a, b in zip(args, before):
             assert np.array_equal(a, b)
             assert not np.shares_memory(result, a)
+
+
+
+@pytest.mark.parametrize("family,param", ALL_CASES)
+def test_edge_is_min_on_mixed_arrays(family, param):
+    """On the edge of the unit square C(u, v) is min(u, v) and dC/du is v,
+    bit for bit and +0.0 for a zero, in arrays that mix edge and interior
+    points in either argument order; every point gets what it gets alone,
+    a (2, 3) array keeps its shape and an empty one stays empty."""
+    points = np.array([0.0, -0.0, 1.0, 1e-310, 0.3, 0.7])
+    x, y = (a.ravel() for a in np.meshgrid(points, points))
+    in_x = (0.0 < x) & (x < 1.0)
+    in_y = (0.0 < y) & (y < 1.0)
+    for fn, u, v, edge_value in [
+        (ac.cdf, x, y, np.minimum(x, y)),
+        (ac.cdf, y, x, np.minimum(y, x)),
+        (ac.partial_u, x[in_x], y[in_x], y[in_x]),  # u in (0, 1) only
+        (ac.partial_u, y[in_y], x[in_y], x[in_y]),
+    ]:
+        got = fn(family, param, u, v)
+        edge = (np.minimum(u, v) <= 0.0) | (np.maximum(u, v) >= 1.0)
+        assert got[edge].tobytes() == (edge_value[edge] + 0.0).tobytes()
+        one_by_one = np.array([fn(family, param, a, b) for a, b in zip(u, v)])
+        assert got.tobytes() == one_by_one.tobytes()
+        square = fn(family, param, u[-6:].reshape(2, 3), v[-6:].reshape(2, 3))
+        assert square.shape == (2, 3) and square.tobytes() == got[-6:].tobytes()
+        assert fn(family, param, np.array([]), np.array([])).shape == (0,)

@@ -165,6 +165,12 @@ def test_f3_generator_matches_mpmath(a, z):
     assert abs(ac.phi("f3", a, z) - phi_mp) <= 1e-14 * (abs(phi_mp) + a * s)
     assert close_or_overflowed(ac.phi_prime("f3", a, z), prime_mp, 1e-14)
     assert close_or_overflowed(ac.phi_double_prime("f3", a, z), double_mp, 1e-14)
+    # the ratio (5 - s)*s*z*z/12 cancels as phi does; its error is a few eps
+    # of s*s*z*z/12 = (z*z + 24z)/12, and a subnormal ratio keeps only its
+    # absolute precision
+    ratio = float(frailty_ratio_mp(z))
+    assert abs(generator_ratio("f3", a, z) - ratio) <= (
+        1e-14 * (abs(ratio) + (z * z + 24.0 * z) / 12.0) + 5e-324)
 
 
 @pytest.mark.parametrize("z", [1e-310, 5e-324, 1e-200, 1e-100])
@@ -176,6 +182,13 @@ def test_f3_generator_at_tiny_z(z):
     # a subnormal ratio keeps only its absolute precision
     ratio = float(frailty_ratio_mp(z))
     assert abs(generator_ratio("f3", 1.0, z) - ratio) <= 1e-14 * abs(ratio) + 5e-324
+
+
+@pytest.mark.parametrize("z", [0.125, 0.375, 0.625, 0.875, 1e-10, 1e-200, 1e-310])
+def test_f3_generator_at_the_smallest_alpha(z):
+    # phi = a*(s - 5)/2, where a/2 alone rounds to 0 at a = 5e-324
+    want = float(frailty_phi_mp(5e-324, z)[0])
+    assert ac.phi("f3", 5e-324, z) == pytest.approx(want, rel=1e-14, abs=5e-324)
 
 
 @pytest.mark.parametrize("a,t", [(1e-300, 1e300), (1.0, 1e155), (1.0, 1e200), (2.0, 1e308)])

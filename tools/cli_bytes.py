@@ -1,0 +1,131 @@
+"""Compare the CLI output of two archcop source trees, command by command.
+
+Usage (from the root of a source checkout):
+
+    python tools/cli_bytes.py A_SRC B_SRC
+
+A_SRC and B_SRC are ``src`` directories, each holding ``archcop/``.  Each
+command of a fixed list runs once under each tree, as
+``python -m archcop.cli ...`` with that tree on PYTHONPATH and no bytecode
+written, from one scratch directory, so both runs get the same argv.  The
+list covers, for every family at ordinary and extreme parameters: eval
+inside the unit square and on its edge (0, -0.0, 1, 1e-310), small cdf,
+pdf and generator grids, check, tau by every method and sample by both
+methods; and every command ``perfbench/run.py`` issues at seeds 1 and 2
+(a ``sample | tau`` pipe feeds the first command's stdout to the second).
+
+A line is printed for each command whose stdout, stderr, exit code or
+``--out`` file differs, naming the parts that differ, then a count.  In
+stderr the tree's path and the line numbers of source files are masked
+first.  The exit status is 0 whatever differs: some differences are
+intended, and the list is for a reader to judge.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import random
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CASES = [
+    ("f1", "0.3"), ("f1", "1e-3"), ("f2", "0.05"), ("f2", "1e-3"),
+    ("f3", "2"), ("f3", "0.3"), ("f3", "1e-300"), ("f3", "1e300"),
+    ("f3", "5e-324"), ("f3", "1.7976931348623157e308"),
+    ("gumbel", "2.5"), ("gumbel", "1e3"), ("independence", None),
+]
+POINTS = [("0.3", "0.7"), ("0", "0.5"), ("-0.0", "0.5"), ("0.5", "-0.0"), ("1", "0.4"),
+          ("0.4", "1"), ("1e-310", "0.5"), ("0.5", "1e-310"), ("0", "1"), ("1", "1")]
+
+
+def family_args(family, param):
+    if param is None:
+        return ["--family", family]
+    return ["--family", family, "--theta" if family == "gumbel" else "--alpha", param]
+
+
+def fixed_commands(work: Path):
+    """(upstream argv or None, argv, --out path or None) of the fixed list."""
+    out = str(work / "out.csv")
+    for family, param in CASES:
+        fam = family_args(family, param)
+        for u, v in POINTS:
+            yield None, ["eval", *fam, "--u", u, "--v", v], None
+        for what in ("cdf", "pdf", "generator"):
+            yield None, ["grid", *fam, "--what", what, "--grid-n", "4", "--out", out], out
+        yield None, ["check", *fam, "--grid-n", "10"], None
+        for method in ("closed", "quadrature"):
+            yield None, ["tau", *fam, "--method", method], None
+        yield None, ["tau", *fam, "--method", "mc", "--n", "200", "--seed", "1"], None
+        for method in ("conditional", "frailty"):
+            yield None, ["sample", *fam, "--n", "20", "--seed", "1", "--method", method,
+                         "--out", out], out
+
+
+def perfbench_commands(work: Path):
+    """Every command perfbench/run.py issues at seeds 1 and 2."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run
+
+    for name, make in run.WORKLOADS.items():
+        for seed in (1, 2):
+            for op in make(random.Random(f"{name}/{seed}"), work):
+                yield op.upstream, op.argv, op.out_file
+
+
+def run_cli(src: Path, argv, stdin: bytes, work: Path):
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    p = subprocess.run([sys.executable, "-m", "archcop.cli", *argv], input=stdin,
+                       capture_output=True, cwd=work, env=env, timeout=300)
+    stderr = p.stderr.decode(errors="replace").replace(str(src), "SRC")
+    stderr = re.sub(r"\.py:\d+", ".py:N", re.sub(r"line \d+", "line N", stderr))
+    return p.returncode, p.stdout, stderr
+
+
+def outcome(src: Path, upstream, argv, out_file, work: Path) -> dict:
+    stdin = b""
+    res = {}
+    if upstream is not None:
+        rc, stdin, err = run_cli(src, upstream, b"", work)
+        res.update(upstream_exit=rc, piped=stdin, upstream_stderr=err)
+    res["exit"], res["stdout"], res["stderr"] = run_cli(src, argv, stdin, work)
+    if out_file is not None:
+        path = Path(out_file)
+        res["file"] = path.read_bytes() if path.exists() else None
+        path.unlink(missing_ok=True)
+    return res
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("a_src", type=Path)
+    parser.add_argument("b_src", type=Path)
+    args = parser.parse_args(argv)
+    srcs = [args.a_src.resolve(), args.b_src.resolve()]
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        commands = [*fixed_commands(work), *perfbench_commands(work)]
+        for upstream, cmd, out_file in commands:
+            a, b = (outcome(src, upstream, cmd, out_file, work) for src in srcs)
+            parts = [k for k in a if a[k] != b[k]]
+            if not parts:
+                continue
+            differ += 1
+            line = " ".join(cmd)
+            if upstream is not None:
+                line = f"{' '.join(upstream)} | {line}"
+            line = line.replace(str(work), "WORK")
+            print(f"{','.join(parts)}: archcop {line}", flush=True)
+    print(f"{differ} of {len(commands)} commands differ")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
