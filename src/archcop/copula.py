@@ -47,8 +47,8 @@ def cdf(family: str, param: float | None, u, v):
 def partial_u(family: str, param: float | None, u, v):
     """Conditional distribution dC/du = P(V <= v | U = u), for u in (0,1).
 
-    Equals v on the edge v in {0, 1} (exact branches); clipped to [0,1]
-    against sub-ulp rounding excursions.
+    Equals v exactly where v is 0 or 1; clipped to [0,1] against sub-ulp
+    rounding excursions.
     """
     g = generator(family, param)
     uu, vv, scalar = _broadcast_unit(u, v, open_u=True)

@@ -236,7 +236,6 @@ def test_inputs_unchanged_and_not_shared(family, param):
             assert not np.shares_memory(result, a)
 
 
-
 @pytest.mark.parametrize("family,param", ALL_CASES)
 def test_edge_is_min_on_mixed_arrays(family, param):
     """On the edge of the unit square C(u, v) is min(u, v) and dC/du is v,
