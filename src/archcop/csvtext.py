@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-BLOCK = 4096  # rows per block of a two-column table
+from .families import BLOCK  # rows per block of a two-column table
 PASS = 512  # rows of a table formatted at once; bounds the working set
 
 # A value's slot: column 0 the sign, 1-5 "0.000", 6-7 the first digit and

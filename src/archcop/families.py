@@ -44,6 +44,11 @@ F3 = "f3"
 GUMBEL = "gumbel"
 INDEPENDENCE = "independence"
 
+# Rows of the working set: the samplers draw and map this many pairs at a
+# time, the lattice audit takes strips of about twice this many values and
+# the CSV writer writes this many rows of a two-column table per block.
+BLOCK = 4096
+
 # Kendall tau of the frailty-generated family: 1 + 4*I with
 # I = int_0^1 (5-s)*s*u^2/12 du, s = sqrt(1+24/u), evaluated to 16 digits
 # with high-precision quadrature.  Independent of alpha.
@@ -238,7 +243,8 @@ class Frailty(NamedTuple):
 
     # a times (s - 5)/2, as 0.5*a rounds to 0 at the smallest subnormal a
     def phi(self, z):
-        return self.a * (0.5 * (_frailty_s(z) - 5.0))
+        with np.errstate(over="ignore"):  # past the double range phi is inf
+            return self.a * (0.5 * (_frailty_s(z) - 5.0))
 
     # phi' = -6a/(z**2 s) and phi'' = 12a(z + 18)/(z**3 s (z + 24)), with
     # z divided out one factor at a time: z*s = sqrt(z*z + 24z) stays a

@@ -9,14 +9,19 @@ copula does not depend on alpha).
 
 Conditional inversion solves dC/du(u, v) = q for v.  Each generator kind
 turns that into one monotone equation in log space, in L = -ln q, which
-its ``conditional_v`` solves for all pairs at once by Newton's method (see
-``families``).
+its ``conditional_v`` solves for a block of pairs at once by Newton's
+method (see ``families``).
 
 Randomness comes from the counter-based Philox 4x64 bit generator keyed
 by the user seed; every pair consumes a fixed-width slot of the stream,
 so a batch is reproducible byte-for-byte from (family, alpha, n, seed,
-method) and independent of any internal evaluation order.  Exponential
-draws use inverse-CDF (-log1p(-U)) for cross-platform reproducibility.
+method) and independent of any internal evaluation order.  The samplers
+rely on that invariant to work ``BLOCK`` rows at a time: the stream fills
+row by row, so drawing a block at a time draws the same numbers, and each
+pair is mapped from its own draws alone (each entry's Newton iteration
+does not depend on the others), so a block's pairs are those the whole
+batch would give.  Exponential draws use inverse-CDF (-log1p(-U)) for
+cross-platform reproducibility.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import DomainError, F3, Frailty, check_param, generator
+from .families import BLOCK, DomainError, F3, Frailty, check_param, generator
 
 _EPS = 1e-15
 
@@ -56,6 +61,21 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+def _batch(n: int, seed: int, width: int, fill) -> SampleBatch:
+    """n pairs made ``BLOCK`` rows at a time: ``fill(draws, out)`` maps the
+    (b, width) uniform draws of a block to its b pairs in ``out``, and
+    every coordinate is then clipped to [1e-15, 1 - 1e-15]."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    rng = _rng(seed)
+    pairs = np.empty((n, 2))
+    for i in range(0, n, BLOCK):
+        draws = rng.random((min(BLOCK, n - i), width))
+        fill(draws, pairs[i:i + len(draws)])
+    np.clip(pairs, _EPS, 1.0 - _EPS, out=pairs)
+    return SampleBatch(pairs)
+
+
 def sample_conditional(family: str, param: float | None, n: int, seed: int) -> SampleBatch:
     """Sample n pairs by conditional inversion: u ~ U(0,1) and q ~ U(0,1),
     both clipped to [1e-15, 1 - 1e-15], then v solves dC/du(u, v) = q
@@ -65,14 +85,13 @@ def sample_conditional(family: str, param: float | None, n: int, seed: int) -> S
     its step cap.
     """
     g = generator(family, param)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    rng = _rng(seed)
-    draws = rng.random((n, 2))
-    u = np.clip(draws[:, 0], _EPS, 1.0 - _EPS)
-    v = g.conditional_v(u, -np.log(np.clip(draws[:, 1], _EPS, 1.0 - _EPS)))
-    v = np.clip(v, _EPS, 1.0 - _EPS)
-    return SampleBatch(np.column_stack([u, v]))
+
+    def fill(draws, out):
+        u = np.clip(draws[:, 0], _EPS, 1.0 - _EPS)
+        out[:, 0] = u
+        out[:, 1] = g.conditional_v(u, -np.log(np.clip(draws[:, 1], _EPS, 1.0 - _EPS)))
+
+    return _batch(n, seed, 2, fill)
 
 
 def sample_frailty_copula(alpha: float, n: int, seed: int) -> SampleBatch:
@@ -81,12 +100,12 @@ def sample_frailty_copula(alpha: float, n: int, seed: int) -> SampleBatch:
     gamma = E1/2 + E2/3, then (psi(E3/gamma), psi(E4/gamma)) from unit
     exponentials E1..E4.  So alpha is only validated."""
     check_param(F3, alpha)
-    if n < 1:
-        raise DomainError("n must be >= 1")
     g = Frailty(1.0)
-    rng = _rng(seed)
-    e = -np.log1p(-rng.random((n, 4)))
-    gamma = e[:, 0] / 2.0 + e[:, 1] / 3.0
-    pairs = np.column_stack([g.psi(e[:, 2] / gamma), g.psi(e[:, 3] / gamma)])
-    np.clip(pairs, _EPS, 1.0 - _EPS, out=pairs)
-    return SampleBatch(pairs)
+
+    def fill(draws, out):
+        e = -np.log1p(-draws)
+        gamma = e[:, 0] / 2.0 + e[:, 1] / 3.0
+        out[:, 0] = g.psi(e[:, 2] / gamma)
+        out[:, 1] = g.psi(e[:, 3] / gamma)
+
+    return _batch(n, seed, 4, fill)

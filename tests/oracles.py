@@ -9,7 +9,8 @@ forms in s = sqrt(1 + 24/z), the conditional root bisects dC/du in v
 rather than solve the sampler's log-space equations, and the CSV
 references format element by element, without ``csvtext``.  The frailty
 law's densities and its draw check the ``f3`` frailty construction from
-outside the sampler.
+outside the sampler.  The whole-lattice audit and the whole-batch
+samplers do at once what the library does a strip or a block at a time.
 """
 
 import io
@@ -19,7 +20,10 @@ import numpy as np
 
 from archcop import cdf, density, phi
 from archcop.copula import _broadcast_unit
-from archcop.families import DomainError, _ret
+from archcop.diagnostics import (BOUNDARY_TOL, CELL_VOLUME_TOL, MARGIN_TOL, SINGULARITY_TOL,
+                                 ValidityReport, singularity_limit)
+from archcop.families import (DomainError, Frailty, _ret, check_generator_conditions,
+                              generator)
 
 
 def f3_reduced_cdf(u, v):
@@ -306,3 +310,51 @@ class LineCountingStream(io.StringIO):
     def write(self, text):
         self.lines.append(text.count("\n"))
         return super().write(text)
+
+
+def grid_validity_report_whole(family, param, grid_n: int) -> ValidityReport:
+    """Reference of ``grid_validity_report``: C on the whole (grid_n+1)^2
+    lattice in one array, its edges and cell volumes read from it."""
+    gen = generator(family, param)
+    g = np.linspace(0.0, 1.0, grid_n + 1)
+    C = cdf(family, param, g[:, None], g)
+    boundary = max(float(np.abs(C[0, :]).max()), float(np.abs(C[:, 0]).max()))
+    margin = max(float(np.abs(C[-1, :] - g).max()), float(np.abs(C[:, -1] - g).max()))
+    vol = C[1:, 1:] - C[1:, :-1] - C[:-1, 1:] + C[:-1, :-1]
+    min_vol = float(vol.min())
+    probes = [(float(x), float(gen.ratio(x))) for x in 10.0 ** -np.arange(3, 10)]
+    conditions = check_generator_conditions(family, param, 64)
+    passed = {
+        "grounded": boundary <= BOUNDARY_TOL,
+        "margins": margin <= MARGIN_TOL,
+        "two_increasing": min_vol >= CELL_VOLUME_TOL,
+        "no_singular_part": abs(singularity_limit(family, param)) <= SINGULARITY_TOL,
+        "generator_conditions": conditions.all_passed,
+    }
+    tolerances = {"grounded": BOUNDARY_TOL, "margins": MARGIN_TOL,
+                  "two_increasing": CELL_VOLUME_TOL, "no_singular_part": SINGULARITY_TOL}
+    return ValidityReport(family, param, grid_n, boundary, margin, min_vol, probes,
+                          conditions, passed, tolerances)
+
+
+def _philox(n: int, width: int, seed: int) -> np.ndarray:
+    return np.random.Generator(np.random.Philox(key=seed)).random((n, width))
+
+
+def sample_conditional_whole(family, param, n: int, seed: int) -> np.ndarray:
+    """Reference pairs of ``sample_conditional``: all n draws at once and
+    one Newton solve over all of them."""
+    draws = _philox(n, 2, seed)
+    u = np.clip(draws[:, 0], 1e-15, 1.0 - 1e-15)
+    L = -np.log(np.clip(draws[:, 1], 1e-15, 1.0 - 1e-15))
+    v = np.clip(generator(family, param).conditional_v(u, L), 1e-15, 1.0 - 1e-15)
+    return np.column_stack([u, v])
+
+
+def sample_frailty_copula_whole(n: int, seed: int) -> np.ndarray:
+    """Reference pairs of ``sample_frailty_copula``: all n draws at once."""
+    e = -np.log1p(-_philox(n, 4, seed))
+    gamma = e[:, 0] / 2.0 + e[:, 1] / 3.0
+    psi = Frailty(1.0).psi
+    return np.clip(np.column_stack([psi(e[:, 2] / gamma), psi(e[:, 3] / gamma)]),
+                   1e-15, 1.0 - 1e-15)

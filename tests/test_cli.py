@@ -330,6 +330,15 @@ class TestCsvWriter:
         assert f.read_bytes() == expected.encode()
         assert ",inf\n" in expected
 
+    def test_f3_generator_overflow_to_inf_is_silent(self):
+        # phi = a*(s - 5)/2 passes the double range at the largest alpha
+        done = subprocess.run(CLI + ["grid", "--family", "f3", "--alpha",
+                                     "1.7976931348623157e308", "--what", "generator",
+                                     "--grid-n", "4"], capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == ("z,phi\n0.125,inf\n0.375,inf\n0.625,1.1477748711198143e+308\n"
+                               "0.875,2.98277766525337e+307\n")
+
     @pytest.mark.parametrize("argv", [
         ["grid", "--family", "f1", "--alpha", "0.5", "--what", "cdf", "--grid-n", "1"],
         ["grid", "--family", "f1", "--alpha", "1.5", "--what", "pdf", "--grid-n", "5"],

@@ -1,16 +1,19 @@
 """Validity audits and the three Kendall tau estimators."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import archcop as ac
-from archcop import _backend
+from archcop import _backend, diagnostics
 from archcop._backend import concordance_diff
 from archcop.families import generator_ratio
-from oracles import concordance_counts_bruteforce, concordance_diff_bruteforce
+from oracles import (concordance_counts_bruteforce, concordance_diff_bruteforce,
+                     grid_validity_report_whole)
+from test_families import ALL_CASES
 
 F12_ALPHAS = [0.1, 0.4, 0.6, 1.0]
 F3_ALPHAS = [0.1, 1.0, 10.0]
@@ -48,6 +51,33 @@ class TestValidityReport:
         assert doc["all_passed"] is True
         assert "\n" not in rep.to_json()
         assert list(doc) == sorted(doc)
+
+
+class TestLatticeStrips:
+    @pytest.mark.parametrize("grid_n", [3, 4, 20, 100])
+    @pytest.mark.parametrize("strips", ["one-row", "partial-last", "single"])
+    @pytest.mark.parametrize("family,param", ALL_CASES)
+    def test_matches_whole_lattice(self, family, param, grid_n, strips, monkeypatch):
+        # strips of k + 1 rows: one cell row each, a last strip shorter
+        # than the others, or the whole lattice in one strip
+        k = {"one-row": 1, "partial-last": 2 if grid_n % 2 else 3, "single": grid_n}[strips]
+        monkeypatch.setattr(diagnostics, "BLOCK", (k * (grid_n + 1) + 1) // 2)
+        calls = []
+        cdf = diagnostics.cdf
+        monkeypatch.setattr(diagnostics, "cdf", lambda *a: calls.append(a) or cdf(*a))
+        got = ac.grid_validity_report(family, param, grid_n).to_json()
+        assert len(calls) == -(-grid_n // k)
+        assert got == grid_validity_report_whole(family, param, grid_n).to_json()
+
+    def test_memory_does_not_grow_with_the_lattice(self):
+        ac.grid_validity_report("gumbel", 2.5, 10)  # one-time set-up outside the trace
+        tracemalloc.start()
+        try:
+            ac.grid_validity_report("gumbel", 2.5, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # the whole 2001**2 lattice took 278 MiB
 
 
 class TestSingularityLimit:

@@ -1,6 +1,8 @@
 """Frailty machinery and the two pair samplers."""
 
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from archcop import cli, copula, families, numerics, sampling
 from archcop.csvtext import BLOCK
 from archcop.families import generator
 from oracles import (LineCountingStream, conditional_root_mp, frailty_pdf, mbur_pdf,
-                     pairs_csv_loop, sample_frailty)
+                     pairs_csv_loop, sample_conditional_whole, sample_frailty,
+                     sample_frailty_copula_whole)
+from test_families import ALL_CASES
 
 
 class TestMburPdf:
@@ -238,6 +242,43 @@ class TestFrailtyCopulaSampler:
         a = ac.sample_frailty_copula(2.0, 300, 77)
         b = ac.sample_frailty_copula(2.0, 300, 77)
         assert a.to_csv() == b.to_csv()
+
+
+class TestBlocks:
+    """Sampling ``BLOCK`` rows at a time gives the whole batch's pairs."""
+
+    B = 7
+    SIZES = [1, B - 1, B, B + 1, 3 * B + 5]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("family,param", ALL_CASES)
+    def test_conditional_matches_whole_batch(self, family, param, n, monkeypatch):
+        monkeypatch.setattr(sampling, "BLOCK", self.B)
+        got = ac.sample_conditional(family, param, n, 19).pairs
+        want = sample_conditional_whole(family, param, n, 19)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
+    def test_frailty_matches_whole_batch(self, alpha, n, monkeypatch):
+        monkeypatch.setattr(sampling, "BLOCK", self.B)
+        got = ac.sample_frailty_copula(alpha, n, 19).pairs
+        want = sample_frailty_copula_whole(n, 19)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sample", [partial(ac.sample_conditional, "f1", 0.5),
+                                        partial(ac.sample_conditional, "f3", 1.0),
+                                        partial(ac.sample_frailty_copula, 1.0)],
+                             ids=["conditional-f1", "conditional-f3", "frailty"])
+    def test_memory_is_the_pairs_and_one_block(self, sample):
+        sample(10, 1)  # one-time set-up outside the trace
+        tracemalloc.start()
+        try:
+            pairs = sample(200_000, 1).pairs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pairs.nbytes + 2 * 2**20
 
 
 class TestCsvFormat:

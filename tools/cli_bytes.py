@@ -10,8 +10,10 @@ command of a fixed list runs once under each tree, as
 written, from one scratch directory, so both runs get the same argv.  The
 list covers, for every family at ordinary and extreme parameters: eval
 inside the unit square and on its edge (0, -0.0, 1, 1e-310), small cdf,
-pdf and generator grids, check, tau by every method and sample by both
-methods; and every command ``perfbench/run.py`` issues at seeds 1 and 2
+pdf and generator grids, check on a small lattice and on one that ends in a
+partial strip, tau by every method and sample by both methods, at sizes on
+either side of the samplers' block; and every command ``perfbench/run.py``
+issues at seeds 1 and 2
 (a ``sample | tau`` pipe feeds the first command's stdout to the second).
 
 A line is printed for each command whose stdout, stderr, exit code or
@@ -59,13 +61,17 @@ def fixed_commands(work: Path):
             yield None, ["eval", *fam, "--u", u, "--v", v], None
         for what in ("cdf", "pdf", "generator"):
             yield None, ["grid", *fam, "--what", what, "--grid-n", "4", "--out", out], out
-        yield None, ["check", *fam, "--grid-n", "10"], None
+        # 1003 lattice rows end in a partial strip of the audit
+        for grid_n in ("10", "1003"):
+            yield None, ["check", *fam, "--grid-n", grid_n], None
         for method in ("closed", "quadrature"):
             yield None, ["tau", *fam, "--method", method], None
         yield None, ["tau", *fam, "--method", "mc", "--n", "200", "--seed", "1"], None
-        for method in ("conditional", "frailty"):
-            yield None, ["sample", *fam, "--n", "20", "--seed", "1", "--method", method,
-                         "--out", out], out
+        # around the samplers' block of 4096 rows
+        for n in ("20", "4095", "4096", "4097"):
+            for method in ("conditional", "frailty"):
+                yield None, ["sample", *fam, "--n", n, "--seed", "1", "--method", method,
+                             "--out", out], out
 
 
 def perfbench_commands(work: Path):
