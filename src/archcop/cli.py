@@ -10,6 +10,7 @@ shortest round-trip decimals.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from functools import partial
@@ -24,7 +25,7 @@ from .diagnostics import (
     kendall_tau_mc,
     kendall_tau_quadrature,
 )
-from .families import FAMILIES, TABLE, DomainError, Frailty, check_param, phi
+from .families import BLOCK, FAMILIES, TABLE, DomainError, Frailty, check_param, phi
 from .numerics import ConvergenceError
 from .sampling import CONDITIONAL, FRAILTY, sample_conditional, sample_frailty_copula
 
@@ -49,15 +50,22 @@ def _add_family_args(p: argparse.ArgumentParser, required: bool = True) -> None:
 
 def _write_out(out_path: str | None, write) -> None:
     """Call ``write`` with standard output, or with the file ``--out``
-    names opened with ``newline=""``; an OSError there is a usage error."""
+    names opened with ``newline=""``; an OSError there is a usage error.
+    When ``write`` raises, a file that this call created is removed, so a
+    failed command leaves no partial output behind."""
     if out_path is None or out_path == "-":
         write(sys.stdout)
         return
+    existed = os.path.lexists(out_path)
     try:
         with open(out_path, "w", newline="") as fh:
             write(fh)
-    except OSError as exc:
-        raise DomainError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from None
+    except BaseException as exc:
+        if not existed and os.path.lexists(out_path):
+            os.remove(out_path)
+        if isinstance(exc, OSError):
+            raise DomainError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from None
+        raise
 
 
 def _cmd_eval(args) -> int:
@@ -78,8 +86,12 @@ def _cmd_grid(args) -> int:
     from . import csvtext  # only the commands that write CSV load it
 
     if args.what == "generator":
-        z = (np.arange(n) + 0.5) / n
-        text = csvtext.table("z,phi", z, phi(args.family, param, z))
+        def blocks():
+            for i in range(0, n, BLOCK):
+                z = (np.arange(i, min(i + BLOCK, n)) + 0.5) / n
+                yield np.column_stack((z, phi(args.family, param, z)))
+
+        text = csvtext.table("z,phi", blocks())
     else:
         if args.what == "cdf":
             pts = np.linspace(0.0, 1.0, n + 1)
@@ -104,29 +116,37 @@ def _read_pairs(stream) -> np.ndarray:
 
     Blank lines and a ``u,...`` header are skipped; any other line that is
     not two comma-separated numbers, or a pair outside [0, 1], raises
-    ``DomainError`` naming its line number.
+    ``DomainError`` naming its line number.  A malformed line anywhere is
+    reported before any pair outside [0, 1].  The lines are parsed
+    ``BLOCK`` at a time into float64 blocks.
     """
-    rows = []
-    numbers = []  # the input line of each row
-    for number, line in enumerate(stream, 1):
-        line = line.strip()
-        if not line or line.startswith("u,"):
-            continue
-        try:
-            u, v = line.split(",")
-            rows.append((float(u), float(v)))
-        except ValueError:
-            raise DomainError(
-                f"line {number}: expected two comma-separated numbers, got {line!r}"
-            ) from None
-        numbers.append(number)
-    if not rows:
+    blocks = []
+    outside = None  # the line number and pair of the first pair outside [0, 1]
+    lines = enumerate(stream, 1)
+    while chunk := list(itertools.islice(lines, BLOCK)):
+        values, numbers = [], []  # the block's numbers and each row's input line
+        for number, line in chunk:
+            line = line.strip()
+            if not line or line.startswith("u,"):
+                continue
+            try:
+                u, v = line.split(",")
+                values += float(u), float(v)
+            except ValueError:
+                raise DomainError(
+                    f"line {number}: expected two comma-separated numbers, got {line!r}"
+                ) from None
+            numbers.append(number)
+        block = np.array(values).reshape(-1, 2)
+        bad = np.flatnonzero(~((block >= 0.0) & (block <= 1.0)).all(axis=1))
+        if outside is None and bad.size:
+            outside = numbers[bad[0]], tuple(block[bad[0]].tolist())
+        blocks.append(block)
+    pairs = np.concatenate(blocks or [np.empty((0, 2))])
+    if not len(pairs):
         raise DomainError("no pairs on standard input")
-    pairs = np.asarray(rows)
-    outside = np.flatnonzero(~((pairs >= 0.0) & (pairs <= 1.0)).all(axis=1))
-    if outside.size:
-        k = int(outside[0])
-        raise DomainError(f"line {numbers[k]}: pair {rows[k]} is outside [0, 1]")
+    if outside is not None:
+        raise DomainError(f"line {outside[0]}: pair {outside[1]} is outside [0, 1]")
     return pairs
 
 

@@ -3,9 +3,9 @@
 A header line, then one line per row: each value as the text ``repr``
 gives for it (the shortest decimal that reads back as the same double),
 separated by commas, each line ending in ``\\n``; files are opened with
-``newline=""``.  The text comes in blocks of at most ``BLOCK`` rows (one
-lattice row for a grid), meant to be written as they come, so an output
-never holds more than one block as text.
+``newline=""``.  The text comes a block of rows at a time (one lattice
+row for a grid), meant to be written as it comes, so an output never
+holds more than one block as text.
 
 The text of many values is made at once in numpy.  Each value gets a
 fixed-width slot of a byte matrix that holds every character its text
@@ -51,7 +51,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .families import BLOCK  # rows per block of a two-column table
 PASS = 512  # rows of a table formatted at once; bounds the working set
 
 # A value's slot: column 0 the sign, 1-5 "0.000", 6-7 the first digit and
@@ -204,14 +203,18 @@ def _rows(buf, mask, values) -> str:
     return _text(buf, mask)
 
 
-def table(header: str, x, y):
-    """The header, then the rows ``x_i,y_i`` of two equal-length 1-D
-    arrays, ``BLOCK`` rows at a time."""
+def table(header: str, blocks):
+    """The header, then the rows ``x,y`` of each (b, 2) array of the
+    iterable ``blocks``, one block's text at a time.  The first block is
+    made before the header is yielded, so an error in making it leaves no
+    output."""
+    blocks = iter(blocks)
+    block = next(blocks)
     yield header + "\n"
-    buf, mask = _canvas(min(len(x), PASS), 2)
-    for i in range(0, len(x), BLOCK):
-        yield "".join([_rows(buf, mask, np.column_stack((x[r : r + PASS], y[r : r + PASS])))
-                       for r in range(i, min(i + BLOCK, len(x)), PASS)])
+    buf, mask = _canvas(PASS, 2)
+    while block is not None:
+        yield "".join([_rows(buf, mask, block[r : r + PASS]) for r in range(0, len(block), PASS)])
+        block = next(blocks, None)
 
 
 def lattice(header: str, pts, fn):

@@ -44,9 +44,10 @@ F3 = "f3"
 GUMBEL = "gumbel"
 INDEPENDENCE = "independence"
 
-# Rows of the working set: the samplers draw and map this many pairs at a
-# time, the lattice audit takes strips of about twice this many values and
-# the CSV writer writes this many rows of a two-column table per block.
+# Rows of the working set: the samplers draw, map and write this many pairs
+# at a time, the generator grid this many points, tau's stdin reader parses
+# this many lines at a time, and the lattice audit takes strips of about
+# twice this many values.
 BLOCK = 4096
 
 # Kendall tau of the frailty-generated family: 1 + 4*I with

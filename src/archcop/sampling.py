@@ -22,11 +22,16 @@ pair is mapped from its own draws alone (each entry's Newton iteration
 does not depend on the others), so a block's pairs are those the whole
 batch would give.  Exponential draws use inverse-CDF (-log1p(-U)) for
 cross-platform reproducibility.
+
+A batch is made when it is read or written, not when the sampler is
+called, which only checks the arguments and raises their errors.
+``SampleBatch.pairs`` makes the (n, 2) array on first access and keeps
+it; until then ``SampleBatch.to_csv`` makes and writes one block at a
+time, so ``archcop sample`` holds one block whatever n.  A
+``ConvergenceError`` is raised by the read or write that makes its block.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +43,27 @@ CONDITIONAL = "conditional"
 FRAILTY = "frailty"
 
 
-@dataclass
 class SampleBatch:
-    pairs: np.ndarray  # (n, 2), every coordinate strictly inside (0,1)
+    """n pairs, every coordinate strictly inside (0, 1), kept as the recipe
+    that makes them: ``blocks()`` yields them as (b, 2) arrays, ``BLOCK``
+    rows at a time.  ``pairs`` makes the (n, 2) array on first access and
+    keeps it; until then ``to_csv`` makes and writes one block at a time."""
+
+    def __init__(self, n: int, blocks):
+        self._n = n
+        self._blocks = blocks
+        self._pairs = None
+
+    @property
+    def pairs(self) -> np.ndarray:
+        if self._pairs is None:
+            pairs = np.empty((self._n, 2))
+            i = 0
+            for block in self._blocks():
+                pairs[i : i + len(block)] = block
+                i += len(block)
+            self._pairs = pairs
+        return self._pairs
 
     def to_csv(self, out=None) -> str | None:
         """The pairs as CSV text (see ``csvtext``) under a ``u,v`` header:
@@ -48,7 +71,11 @@ class SampleBatch:
         whole when there is no ``out``."""
         from . import csvtext  # only the commands that write CSV load it
 
-        text = csvtext.table("u,v", self.pairs[:, 0], self.pairs[:, 1])
+        if self._pairs is None:
+            blocks = self._blocks()
+        else:
+            blocks = (self._pairs[i : i + BLOCK] for i in range(0, self._n, BLOCK))
+        text = csvtext.table("u,v", blocks)
         if out is None:
             return "".join(text)
         out.writelines(text)
@@ -62,18 +89,24 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _batch(n: int, seed: int, width: int, fill) -> SampleBatch:
-    """n pairs made ``BLOCK`` rows at a time: ``fill(draws, out)`` maps the
-    (b, width) uniform draws of a block to its b pairs in ``out``, and
-    every coordinate is then clipped to [1e-15, 1 - 1e-15]."""
+    """n pairs made ``BLOCK`` rows at a time from one Philox stream:
+    ``fill(draws, out)`` maps the (b, width) uniform draws of a block to
+    its b pairs in ``out``, whose coordinates are then clipped to
+    [1e-15, 1 - 1e-15].  The arguments are checked here; the pairs are
+    made when they are read or written."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    rng = _rng(seed)
-    pairs = np.empty((n, 2))
-    for i in range(0, n, BLOCK):
-        draws = rng.random((min(BLOCK, n - i), width))
-        fill(draws, pairs[i:i + len(draws)])
-    np.clip(pairs, _EPS, 1.0 - _EPS, out=pairs)
-    return SampleBatch(pairs)
+    _rng(seed)  # a bad seed is an error of this call, not of a later read
+
+    def blocks():
+        rng = _rng(seed)
+        for i in range(0, n, BLOCK):
+            draws = rng.random((min(BLOCK, n - i), width))
+            out = np.empty((len(draws), 2))
+            fill(draws, out)
+            yield np.clip(out, _EPS, 1.0 - _EPS, out=out)
+
+    return SampleBatch(n, blocks)
 
 
 def sample_conditional(family: str, param: float | None, n: int, seed: int) -> SampleBatch:

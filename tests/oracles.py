@@ -10,7 +10,8 @@ rather than solve the sampler's log-space equations, and the CSV
 references format element by element, without ``csvtext``.  The frailty
 law's densities and its draw check the ``f3`` frailty construction from
 outside the sampler.  The whole-lattice audit and the whole-batch
-samplers do at once what the library does a strip or a block at a time.
+samplers do at once what the library does a strip or a block at a time,
+and the stdin reader parses every line before it checks any pair.
 """
 
 import io
@@ -358,3 +359,30 @@ def sample_frailty_copula_whole(n: int, seed: int) -> np.ndarray:
     psi = Frailty(1.0).psi
     return np.clip(np.column_stack([psi(e[:, 2] / gamma), psi(e[:, 3] / gamma)]),
                    1e-15, 1.0 - 1e-15)
+
+
+def read_pairs_loop(stream) -> np.ndarray:
+    """Reference of ``cli._read_pairs``: every line parsed into a list of
+    tuples, then one array and one range check over all of them."""
+    rows = []
+    numbers = []  # the input line of each row
+    for number, line in enumerate(stream, 1):
+        line = line.strip()
+        if not line or line.startswith("u,"):
+            continue
+        try:
+            u, v = line.split(",")
+            rows.append((float(u), float(v)))
+        except ValueError:
+            raise DomainError(
+                f"line {number}: expected two comma-separated numbers, got {line!r}"
+            ) from None
+        numbers.append(number)
+    if not rows:
+        raise DomainError("no pairs on standard input")
+    pairs = np.asarray(rows)
+    outside = np.flatnonzero(~((pairs >= 0.0) & (pairs <= 1.0)).all(axis=1))
+    if outside.size:
+        k = int(outside[0])
+        raise DomainError(f"line {numbers[k]}: pair {rows[k]} is outside [0, 1]")
+    return pairs

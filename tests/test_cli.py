@@ -8,9 +8,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from archcop import cli, families, sampling
 from archcop.cli import main
-from oracles import LineCountingStream, grid_csv_loops
+from archcop.families import DomainError
+from oracles import LineCountingStream, grid_csv_loops, read_pairs_loop
 
 CLI = [sys.executable, "-m", "archcop.cli"]
 
@@ -137,6 +140,21 @@ class TestCheck:
         assert code == 2
 
 
+number_text = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0).map(repr),
+    # what float() reads besides repr's text, in range or not
+    st.sampled_from([" 0.5", "0.25 ", "+0.25", "5E-1", "1", "0", "-0.0", "0_5", "nan",
+                     "-inf", "1e5", "-1e-300", "1.0000000000000002"]),
+)
+stdin_line = st.one_of(
+    st.tuples(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
+    .map(lambda p: f"{p[0]!r},{p[1]!r}"),
+    st.tuples(number_text, number_text).map(",".join),
+    st.sampled_from(["", "   ", "\t", "u,v", "u,anything", "u,v,w"]),
+    st.sampled_from(["bad", "0.1;0.2", "0.5", "0.1,0.2,0.3", ",", "0.1,", "0x1p-1,0.5", "u v"]),
+)
+
+
 class TestTau:
     def test_closed(self, capsys):
         code, out, _ = run_cli(capsys, "tau", "--family", "f1", "--alpha", "0.25",
@@ -180,6 +198,23 @@ class TestTau:
         assert out == ""
         assert err.startswith(f"error: line {line}: ")
         assert err.count("\n") == 1
+
+    @given(lines=st.lists(stdin_line, max_size=40), end=st.sampled_from(["\n", ""]))
+    @settings(max_examples=300, deadline=None)
+    def test_stdin_blocks_match_line_loop(self, lines, end):
+        # 7-line blocks put blank, header, malformed and out-of-range lines
+        # on either side of many seams
+        text = "\n".join(lines) + end
+        outcomes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "BLOCK", 7)
+            for read in (cli._read_pairs, read_pairs_loop):
+                try:
+                    pairs = read(io.StringIO(text))
+                    outcomes.append((pairs.shape, pairs.tobytes()))
+                except DomainError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_mc_empty_stdin_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("u,v\n\n"))
@@ -315,6 +350,18 @@ class TestCsvWriter:
         rows = [n] if what == "generator" else [side] * side
         assert stdout.lines == [1] + rows
 
+    @pytest.mark.parametrize("family,flag,param", [("f3", "--alpha", 0.3),
+                                                   ("gumbel", "--theta", 2.5)])
+    @pytest.mark.parametrize("n", [2, 6, 7, 8, 26])
+    def test_generator_blocks_match_reference(self, monkeypatch, family, flag, param, n):
+        monkeypatch.setattr(cli, "BLOCK", 7)
+        stdout = LineCountingStream()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["grid", "--family", family, flag, repr(param), "--what", "generator",
+                     "--grid-n", str(n)]) == 0
+        assert stdout.getvalue() == grid_csv_loops(family, param, "generator", n)
+        assert stdout.lines == [1] + [min(7, n - i) for i in range(0, n, 7)]
+
     @pytest.mark.parametrize("family,flag,param", [("f2", "--alpha", 0.001),
                                                    ("gumbel", "--theta", 1000.0)])
     def test_generator_overflow_to_inf_is_silent(self, tmp_path, family, flag, param):
@@ -352,4 +399,28 @@ class TestCsvWriter:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize("family", ["f1", "f3"])
+    @pytest.mark.parametrize("failing_call", [1, 3])
+    def test_convergence_failure_leaves_no_file(self, capsys, monkeypatch, tmp_path,
+                                                family, failing_call):
+        # the first block fails, or the third, after two were written
+        solve = families._monotone_newton
+        calls = []
+
+        def capped(*args):
+            calls.append(None)
+            if len(calls) == failing_call:
+                monkeypatch.setattr(families, "_NEWTON_CAP", 1)
+            return solve(*args)
+
+        monkeypatch.setattr(families, "_monotone_newton", capped)
+        monkeypatch.setattr(sampling, "BLOCK", 7)
+        path = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, "sample", "--family", family, "--alpha", "0.5",
+                                 "--n", "20", "--seed", "1", "--out", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(calls) == failing_call
         assert not path.exists()

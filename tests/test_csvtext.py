@@ -17,13 +17,21 @@ from hypothesis import given, settings, strategies as st
 
 import archcop as ac
 from archcop import csvtext
+from archcop.families import BLOCK
+
+
+def table_text(x, y) -> str:
+    """``table`` of the columns ``x`` and ``y``, given in blocks of
+    ``BLOCK`` rows."""
+    return "".join(csvtext.table("x,y", (np.column_stack((x[i : i + BLOCK], y[i : i + BLOCK]))
+                                         for i in range(0, len(x), BLOCK))))
 
 
 def assert_reprs(values):
     """``table`` prints each value of ``values`` as ``repr`` does, in both
     of its columns and across its passes and blocks."""
     values = np.asarray(values, dtype=np.float64)
-    got = "".join(csvtext.table("x,y", values, values[::-1])).split("\n")
+    got = table_text(values, values[::-1]).split("\n")
     want = [f"{a!r},{b!r}" for a, b in zip(values.tolist(), values[::-1].tolist())]
     assert got[0] == "x,y" and got[-1] == ""
     for line, expected in zip(got[1:-1], want):
@@ -91,7 +99,7 @@ def sweep(seed=20240607):
 def test_seeded_sweep():
     values = sweep()
     assert values.size >= 900_000
-    got = "".join(csvtext.table("x,y", values, values))
+    got = table_text(values, values)
     want = "x,y\n" + "".join([f"{v!r},{v!r}\n" for v in values.tolist()])
     assert got == want
 

@@ -1,6 +1,7 @@
 """Frailty machinery and the two pair samplers."""
 
 import math
+import os
 import tracemalloc
 from functools import partial
 
@@ -11,8 +12,7 @@ from scipy import integrate, stats
 
 import archcop as ac
 from archcop import cli, copula, families, numerics, sampling
-from archcop.csvtext import BLOCK
-from archcop.families import generator
+from archcop.families import BLOCK, generator
 from oracles import (LineCountingStream, conditional_root_mp, frailty_pdf, mbur_pdf,
                      pairs_csv_loop, sample_conditional_whole, sample_frailty,
                      sample_frailty_copula_whole)
@@ -279,6 +279,65 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < pairs.nbytes + 2 * 2**20
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("family,param", ALL_CASES)
+    def test_streamed_text_matches_whole_batch(self, family, param, n, monkeypatch):
+        monkeypatch.setattr(sampling, "BLOCK", self.B)
+        want = pairs_csv_loop(sample_conditional_whole(family, param, n, 19))
+        self.check_streamed(ac.sample_conditional(family, param, n, 19), n, want)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_streamed_frailty_text_matches_whole_batch(self, n, monkeypatch):
+        monkeypatch.setattr(sampling, "BLOCK", self.B)
+        want = pairs_csv_loop(sample_frailty_copula_whole(n, 19))
+        self.check_streamed(ac.sample_frailty_copula(0.3, n, 19), n, want)
+
+    def check_streamed(self, batch, n, want):
+        """``batch`` writes ``want`` a block at a time before its pairs are
+        made, and the same text from its pairs once they are."""
+        out = LineCountingStream()
+        batch.to_csv(out)
+        assert out.getvalue() == want
+        assert out.lines == [1] + [min(self.B, n - i) for i in range(0, n, self.B)]
+        pairs = batch.pairs
+        assert batch.pairs is pairs and pairs.shape == (n, 2)
+        assert batch.to_csv() == want
+
+    @pytest.mark.parametrize("sample", [partial(ac.sample_conditional, "f1", 0.5),
+                                        partial(ac.sample_conditional, "f3", 1.0),
+                                        partial(ac.sample_frailty_copula, 1.0)],
+                             ids=["conditional-f1", "conditional-f3", "frailty"])
+    def test_writing_holds_one_block(self, sample):
+        sample(10, 1).to_csv()  # one-time set-up outside the trace
+        with open(os.devnull, "w") as out:
+            tracemalloc.start()
+            try:
+                sample(200_000, 1).to_csv(out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * 2**20  # the pairs alone are 3.05 MiB
+
+    @pytest.mark.parametrize("call,message", [
+        (partial(ac.sample_conditional, "f1", 0.5, 0, 1), "n must be >= 1"),
+        (partial(ac.sample_conditional, "f1", 1.5, 10, 1), "alpha out of domain"),
+        (partial(ac.sample_conditional, "gumbel", 2.0, 10, -1), "seed out of domain"),
+        (partial(ac.sample_frailty_copula, -1.0, 10, 1), "alpha out of domain"),
+        (partial(ac.sample_frailty_copula, 1.0, 0, 1), "n must be >= 1"),
+        (partial(ac.sample_frailty_copula, 1.0, 10, 2**128), "seed out of domain"),
+    ])
+    def test_argument_errors_raise_at_the_call(self, call, message):
+        with pytest.raises(ac.DomainError, match=message):
+            call()
+
+    def test_convergence_error_raises_when_the_pairs_are_made(self, monkeypatch):
+        monkeypatch.setattr(families, "_NEWTON_CAP", 1)
+        batch = ac.sample_conditional("f1", 0.5, 100, 1)
+        with pytest.raises(ac.ConvergenceError):
+            batch.pairs
+        with pytest.raises(ac.ConvergenceError):
+            batch.to_csv()
 
 
 class TestCsvFormat:

@@ -10,17 +10,19 @@ command of a fixed list runs once under each tree, as
 written, from one scratch directory, so both runs get the same argv.  The
 list covers, for every family at ordinary and extreme parameters: eval
 inside the unit square and on its edge (0, -0.0, 1, 1e-310), small cdf,
-pdf and generator grids, check on a small lattice and on one that ends in a
-partial strip, tau by every method and sample by both methods, at sizes on
-either side of the samplers' block; and every command ``perfbench/run.py``
-issues at seeds 1 and 2
-(a ``sample | tau`` pipe feeds the first command's stdout to the second).
+pdf and generator grids, generator grids on either side of their block,
+check on a small lattice and on one that ends in a partial strip, tau by
+every method and sample by both methods, at sizes on either side of the
+samplers' block; ``tau --method mc`` on stdin fixtures whose fault lies
+past the stdin reader's first block; and every command
+``perfbench/run.py`` issues at seeds 1 and 2 (a ``sample | tau`` pipe
+feeds the first command's stdout to the second).
 
 A line is printed for each command whose stdout, stderr, exit code or
 ``--out`` file differs, naming the parts that differ, then a count.  In
-stderr the tree's path and the line numbers of source files are masked
-first.  The exit status is 0 whatever differs: some differences are
-intended, and the list is for a reader to judge.
+stderr the tree's path and the line numbers of source files (in warnings
+and traceback lines) are masked first.  The exit status is 0 whatever
+differs: some differences are intended, and the list is for a reader to judge.
 """
 
 from __future__ import annotations
@@ -55,12 +57,18 @@ def family_args(family, param):
 def fixed_commands(work: Path):
     """(upstream argv or None, argv, --out path or None) of the fixed list."""
     out = str(work / "out.csv")
+    for fixture in stdin_fixtures():
+        yield fixture, ["tau", "--method", "mc"], None
     for family, param in CASES:
         fam = family_args(family, param)
         for u, v in POINTS:
             yield None, ["eval", *fam, "--u", u, "--v", v], None
         for what in ("cdf", "pdf", "generator"):
             yield None, ["grid", *fam, "--what", what, "--grid-n", "4", "--out", out], out
+        # around the generator grid's block of 4096 rows
+        for grid_n in ("4095", "4096", "4097", "8193"):
+            yield None, ["grid", *fam, "--what", "generator", "--grid-n", grid_n,
+                         "--out", out], out
         # 1003 lattice rows end in a partial strip of the audit
         for grid_n in ("10", "1003"):
             yield None, ["check", *fam, "--grid-n", grid_n], None
@@ -72,6 +80,25 @@ def fixed_commands(work: Path):
             for method in ("conditional", "frailty"):
                 yield None, ["sample", *fam, "--n", n, "--seed", "1", "--method", method,
                              "--out", out], out
+
+
+def stdin_fixtures():
+    """(label, stdin bytes) of ``tau --method mc`` inputs of 6000 pairs that
+    go wrong, or have lines to skip, past the stdin reader's first block
+    of 4096 lines."""
+    lines = ["u,v"] + [f"{k * 0.6180339887498949 % 1.0!r},{k * 0.7548776662466927 % 1.0!r}"
+                       for k in range(1, 6001)]
+    edits = {  # line index -> its text; index i is line i + 1
+        "valid": {},
+        "blank and header lines 5002-5003": {5001: "", 5002: "u,v"},
+        "malformed line 5002": {5001: "0.5;0.5"},
+        "out-of-range line 5002": {5001: "0.5,1.5"},
+        "NaN line 6001": {6000: "nan,0.5"},
+        # a malformed line anywhere is reported before a pair outside [0, 1]
+        "out-of-range line 3, malformed line 5002": {2: "-0.1,0.5", 5001: "0.5"},
+    }
+    for label, edit in edits.items():
+        yield label, "".join(f"{edit.get(i, line)}\n" for i, line in enumerate(lines)).encode()
 
 
 def perfbench_commands(work: Path):
@@ -90,14 +117,18 @@ def run_cli(src: Path, argv, stdin: bytes, work: Path):
     p = subprocess.run([sys.executable, "-m", "archcop.cli", *argv], input=stdin,
                        capture_output=True, cwd=work, env=env, timeout=300)
     stderr = p.stderr.decode(errors="replace").replace(str(src), "SRC")
-    stderr = re.sub(r"\.py:\d+", ".py:N", re.sub(r"line \d+", "line N", stderr))
+    # source line numbers, as warnings and tracebacks print them; archcop's
+    # own "line N:" errors stay
+    stderr = re.sub(r"\.py:\d+", ".py:N", re.sub(r'(File "[^"]*", line )\d+', r"\1N", stderr))
     return p.returncode, p.stdout, stderr
 
 
 def outcome(src: Path, upstream, argv, out_file, work: Path) -> dict:
     stdin = b""
     res = {}
-    if upstream is not None:
+    if isinstance(upstream, tuple):  # a fixture: (label, stdin bytes)
+        stdin = upstream[1]
+    elif upstream is not None:
         rc, stdin, err = run_cli(src, upstream, b"", work)
         res.update(upstream_exit=rc, piped=stdin, upstream_stderr=err)
     res["exit"], res["stdout"], res["stderr"] = run_cli(src, argv, stdin, work)
@@ -125,7 +156,9 @@ def main(argv=None) -> int:
                 continue
             differ += 1
             line = " ".join(cmd)
-            if upstream is not None:
+            if isinstance(upstream, tuple):
+                line = f"{line} < {upstream[0]}"
+            elif upstream is not None:
                 line = f"{' '.join(upstream)} | {line}"
             line = line.replace(str(work), "WORK")
             print(f"{','.join(parts)}: archcop {line}", flush=True)
