@@ -216,6 +216,12 @@ def _frailty_s(z):
                     np.sqrt(1.0 + 24.0 / np.maximum(z, 1e-300)))
 
 
+def _frailty_half_s_minus_5(z):
+    """(s - 5)/2 = 12(1 - z)/(z(s + 5)) on (0, 1), s = ``_frailty_s(z)``:
+    the direct difference cancels as z -> 1, this form does not."""
+    return 12.0 * (1.0 - z) / (z * (_frailty_s(z) + 5.0))
+
+
 class Frailty(NamedTuple):
     """phi(z) = (a/2)*(sqrt(1 + 24/z) - 5) of family f3; interior points only.
 
@@ -242,10 +248,12 @@ class Frailty(NamedTuple):
 
     a: float
 
-    # a times (s - 5)/2, as 0.5*a rounds to 0 at the smallest subnormal a
+    # a times (s - 5)/2, as 0.5*a rounds to 0 at the smallest subnormal a,
+    # with s - 5 = 24(1 - z)/(z(s + 5)): the difference s - 5 cancels as
+    # z -> 1, where 1 - z is exact
     def phi(self, z):
         with np.errstate(over="ignore"):  # past the double range phi is inf
-            return self.a * (0.5 * (_frailty_s(z) - 5.0))
+            return self.a * _frailty_half_s_minus_5(z)
 
     # phi' = -6a/(z**2 s) and phi'' = 12a(z + 18)/(z**3 s (z + 24)), with
     # z divided out one factor at a time: z*s = sqrt(z*z + 24z) stays a
@@ -258,7 +266,7 @@ class Frailty(NamedTuple):
         return 12.0 * self.a / (z * _frailty_s(z)) * ((z + 18.0) / (z + 24.0)) / z / z
 
     def log_phi(self, z):
-        return np.log(self.a) + np.log(0.5 * (_frailty_s(z) - 5.0))
+        return np.log(self.a) + np.log(_frailty_half_s_minus_5(z))
 
     def log_phi_prime(self, z):
         a = self.a
@@ -305,10 +313,10 @@ class Frailty(NamedTuple):
         return False
 
     def ratio(self, z):
-        # (5 - s)*s*z*z/12, grouped so that no product leaves the double
-        # range: s*z = sqrt(z*z + 24z) is below 5
+        # (5 - s)*s*z*z/12 = -2(1 - z)*s*z/(s + 5), which neither cancels
+        # nor leaves the double range: s*z = sqrt(z*z + 24z) is below 5
         s = _frailty_s(z)
-        return (5.0 - s) * z * (s * z) / 12.0
+        return -2.0 * (1.0 - z) * (s * z) / (s + 5.0)
 
     def cdf(self, u, v):
         one = Frailty(1.0)

@@ -378,13 +378,14 @@ class TestCsvWriter:
         assert ",inf\n" in expected
 
     def test_f3_generator_overflow_to_inf_is_silent(self):
-        # phi = a*(s - 5)/2 passes the double range at the largest alpha
+        # phi = a*(s - 5)/2 passes the double range at the largest alpha;
+        # the finite values are the 50-digit ones, correctly rounded
         done = subprocess.run(CLI + ["grid", "--family", "f3", "--alpha",
                                      "1.7976931348623157e308", "--what", "generator",
                                      "--grid-n", "4"], capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == ("z,phi\n0.125,inf\n0.375,inf\n0.625,1.1477748711198143e+308\n"
-                               "0.875,2.98277766525337e+307\n")
+        assert done.stdout == ("z,phi\n0.125,inf\n0.375,inf\n0.625,1.147774871119815e+308\n"
+                               "0.875,2.982777665253369e+307\n")
 
     @pytest.mark.parametrize("argv", [
         ["grid", "--family", "f1", "--alpha", "0.5", "--what", "cdf", "--grid-n", "1"],

@@ -159,18 +159,28 @@ def close_or_overflowed(got, exact, rtol):
 @settings(max_examples=400, deadline=None)
 def test_f3_generator_matches_mpmath(a, z):
     phi_mp, prime_mp, double_mp = (float(v) for v in frailty_phi_mp(a, z))
-    # phi = a/2*(s - 5) cancels as z -> 1, where s -> 5: its error is a
-    # few eps of a*s rather than of phi
-    s = 2.0 * phi_mp / a + 5.0
-    assert abs(ac.phi("f3", a, z) - phi_mp) <= 1e-14 * (abs(phi_mp) + a * s)
+    assert abs(ac.phi("f3", a, z) - phi_mp) <= 1e-14 * phi_mp
     assert close_or_overflowed(ac.phi_prime("f3", a, z), prime_mp, 1e-14)
     assert close_or_overflowed(ac.phi_double_prime("f3", a, z), double_mp, 1e-14)
-    # the ratio (5 - s)*s*z*z/12 cancels as phi does; its error is a few eps
-    # of s*s*z*z/12 = (z*z + 24z)/12, and a subnormal ratio keeps only its
-    # absolute precision
+    # a subnormal ratio keeps only its absolute precision
     ratio = float(frailty_ratio_mp(z))
-    assert abs(generator_ratio("f3", a, z) - ratio) <= (
-        1e-14 * (abs(ratio) + (z * z + 24.0 * z) / 12.0) + 5e-324)
+    assert abs(generator_ratio("f3", a, z) - ratio) <= 1e-14 * abs(ratio) + 5e-324
+
+
+@given(a=st.floats(min_value=1e-3, max_value=1e3),
+       z=st.one_of(st.integers(1, 2**52).map(lambda k: 1.0 - k * 2.0**-53),
+                   st.floats(min_value=-16.0, max_value=-0.31).map(lambda e: 1.0 - 10.0**e)))
+@settings(max_examples=300, deadline=None)
+def test_f3_generator_near_one_matches_mpmath(a, z):
+    # s - 5 cancels as z -> 1, where s -> 5; phi, its log and the ratio
+    # keep their relative precision there
+    phi_mp = frailty_phi_mp(a, z)[0]
+    assert abs(ac.phi("f3", a, z) - phi_mp) <= 1e-14 * phi_mp
+    ratio = frailty_ratio_mp(z)
+    assert abs(generator_ratio("f3", a, z) - ratio) <= 1e-14 * abs(ratio)
+    log_a, log_rest = math.log(a), float(mpmath.log(phi_mp / a))
+    got = generator("f3", a).log_phi(np.array([z]))[0]
+    assert abs(got - mpmath.log(phi_mp)) <= 1e-15 * (1.0 + abs(log_a) + abs(log_rest))
 
 
 @pytest.mark.parametrize("z", [1e-310, 5e-324, 1e-200, 1e-100])
