@@ -23,11 +23,9 @@ does not depend on the others), so a block's pairs are those the whole
 batch would give.  Exponential draws use inverse-CDF (-log1p(-U)) for
 cross-platform reproducibility.
 
-A batch is made when it is read or written, not when the sampler is
-called, which only checks the arguments and raises their errors.
-``SampleBatch.pairs`` makes the (n, 2) array on first access and keeps
-it; until then ``SampleBatch.to_csv`` makes and writes one block at a
-time, so ``archcop sample`` holds one block whatever n.  A
+A sampler call only checks its arguments and raises their errors; the
+batch makes its pairs when they are read or written (see ``SampleBatch``),
+so ``archcop sample`` holds one block whatever n, and a
 ``ConvergenceError`` is raised by the read or write that makes its block.
 """
 
