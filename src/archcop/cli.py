@@ -48,18 +48,33 @@ def _add_family_args(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--theta", type=float, default=None)
 
 
+class _OutFile:
+    """The file ``--out`` names, as a stream for one ``writelines`` call:
+    the file is opened with ``newline=""`` when the first text arrives, so
+    an error in making it leaves a file that existed as it was."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def writelines(self, lines) -> None:
+        lines = iter(lines)
+        first = next(lines, "")
+        with open(self.path, "w", newline="") as fh:
+            fh.write(first)
+            fh.writelines(lines)
+
+
 def _write_out(out_path: str | None, write) -> None:
     """Call ``write`` with standard output, or with the file ``--out``
-    names opened with ``newline=""``; an OSError there is a usage error.
-    When ``write`` raises, a file that this call created is removed, so a
+    names (see ``_OutFile``); an OSError there is a usage error.  When
+    ``write`` raises, a file that this call created is removed, so a
     failed command leaves no partial output behind."""
     if out_path is None or out_path == "-":
         write(sys.stdout)
         return
     existed = os.path.lexists(out_path)
     try:
-        with open(out_path, "w", newline="") as fh:
-            write(fh)
+        write(_OutFile(out_path))
     except BaseException as exc:
         if not existed and os.path.lexists(out_path):
             os.remove(out_path)

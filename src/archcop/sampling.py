@@ -13,15 +13,20 @@ its ``conditional_v`` solves for a block of pairs at once by Newton's
 method (see ``families``).
 
 Randomness comes from the counter-based Philox 4x64 bit generator keyed
-by the user seed; every pair consumes a fixed-width slot of the stream,
-so a batch is reproducible byte-for-byte from (family, alpha, n, seed,
-method) and independent of any internal evaluation order.  The samplers
-rely on that invariant to work ``BLOCK`` rows at a time: the stream fills
-row by row, so drawing a block at a time draws the same numbers, and each
-pair is mapped from its own draws alone (each entry's Newton iteration
-does not depend on the others), so a block's pairs are those the whole
-batch would give.  Exponential draws use inverse-CDF (-log1p(-U)) for
-cross-platform reproducibility.
+by the user seed: numpy's ``Generator(Philox(key=seed)).random()`` stream,
+bit for bit, computed here with numpy's uint64 arithmetic (``_uniforms``).
+Draw k is a pure function of (seed, k), so a block's draws come straight
+from its counters, and no archcop process loads ``numpy.random``, which
+costs about 6 MiB of memory and 20 ms per process.  Every pair consumes
+a fixed-width slot of the stream, so a batch is reproducible
+byte-for-byte from (family, alpha, n, seed, method) and independent of
+any internal evaluation order.  The samplers rely on that invariant to
+work ``BLOCK`` rows at a time: the stream fills row by row, so block i
+starts at draw i * BLOCK * width, and each pair is mapped from its own
+draws alone (each entry's Newton iteration does not depend on the
+others), so a block's pairs are those the whole batch would give.
+Exponential draws use inverse-CDF (-log1p(-U)) for cross-platform
+reproducibility.
 
 A sampler call only checks its arguments and raises their errors; the
 batch makes its pairs when they are read or written (see ``SampleBatch``),
@@ -80,10 +85,64 @@ class SampleBatch:
         return None
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _key(seed: int) -> tuple[int, int]:
+    """The Philox key of ``seed``: its low and high 64-bit words."""
     if not 0 <= seed < 2**128:
         raise DomainError("seed out of domain [0, 2**128)")
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    seed = int(seed)
+    return seed & (2**64 - 1), seed >> 64
+
+
+def _uniforms(key: tuple[int, int], start: int, count: int) -> np.ndarray:
+    """Draws ``start`` to ``start + count - 1`` of numpy's
+    ``Generator(Philox(key=seed)).random()``, bit for bit, computed
+    without ``numpy.random``.  Draw k is (w >> 11) * 2**-53, where w is
+    word k % 4 of Philox4x64-10 at counter k // 4 + 1 under ``key``
+    (Salmon et al., SC'11): ten rounds, each two 64x64-bit products,
+    whose high words are summed from 32-bit halves, and xors with a key
+    bumped by two Weyl constants.  The key schedule stays in Python ints
+    masked to 64 bits and enters numpy as ``np.uint64`` scalars, so no
+    numpy version promotes it to float64."""
+    k0, k1 = key
+    first = start // 4
+    m = (start + count - 1) // 4 - first + 1  # counters
+    u64, mask = np.uint64, 2**64 - 1
+    s32, lo32 = u64(32), u64(2**32 - 1)
+    x0 = np.arange(first + 1, first + 1 + m, dtype=np.uint64)
+    x1, x2, x3 = (np.zeros(m, np.uint64) for _ in range(3))
+    hi0, hi1, t, u, v = (np.empty(m, np.uint64) for _ in range(5))
+
+    def mulhi(a, x, hi):  # hi = (a * x) >> 64; t, u, v are scratch
+        a_lo, a_hi = u64(a & (2**32 - 1)), u64(a >> 32)
+        np.bitwise_and(x, lo32, t)
+        np.right_shift(x, s32, hi)
+        np.multiply(t, a_lo, u)
+        np.right_shift(u, s32, u)
+        np.multiply(t, a_hi, t)
+        np.add(t, u, t)  # < 2**64
+        np.multiply(hi, a_lo, u)
+        np.multiply(hi, a_hi, hi)
+        np.bitwise_and(t, lo32, v)
+        np.add(u, v, u)
+        np.right_shift(t, s32, t)
+        np.add(hi, t, hi)
+        np.right_shift(u, s32, u)
+        np.add(hi, u, hi)
+
+    m0, m1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+    for r in range(10):
+        mulhi(m0, x0, hi0)
+        mulhi(m1, x2, hi1)
+        x1 ^= hi1
+        x1 ^= u64((k0 + r * 0x9E3779B97F4A7C15) & mask)
+        x3 ^= hi0
+        x3 ^= u64((k1 + r * 0xBB67AE8584CAA73B) & mask)
+        x0 *= u64(m0)  # the low words, mod 2**64
+        x2 *= u64(m1)
+        x0, x1, x2, x3 = x1, x2, x3, x0
+    words = np.stack((x0, x1, x2, x3), axis=1).ravel()[start % 4 : start % 4 + count]
+    words >>= u64(11)
+    return words * 2.0**-53
 
 
 def _batch(n: int, seed: int, width: int, fill) -> SampleBatch:
@@ -94,12 +153,12 @@ def _batch(n: int, seed: int, width: int, fill) -> SampleBatch:
     made when they are read or written."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    _rng(seed)  # a bad seed is an error of this call, not of a later read
+    key = _key(seed)  # a bad seed is an error of this call, not of a later read
 
     def blocks():
-        rng = _rng(seed)
         for i in range(0, n, BLOCK):
-            draws = rng.random((min(BLOCK, n - i), width))
+            b = min(BLOCK, n - i)
+            draws = _uniforms(key, i * width, b * width).reshape(b, width)
             out = np.empty((len(draws), 2))
             fill(draws, out)
             yield np.clip(out, _EPS, 1.0 - _EPS, out=out)

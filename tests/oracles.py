@@ -339,6 +339,8 @@ def grid_validity_report_whole(family, param, grid_n: int) -> ValidityReport:
 
 
 def _philox(n: int, width: int, seed: int) -> np.ndarray:
+    """The first n * width draws of numpy's Philox stream for ``seed``: the
+    reference for the samplers' own Philox4x64-10."""
     return np.random.Generator(np.random.Philox(key=seed)).random((n, width))
 
 

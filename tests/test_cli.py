@@ -289,6 +289,31 @@ class TestDeterminismSubprocess:
             assert proc.stderr == b""
 
 
+class TestNoNumpyRandom:
+    """The samplers compute their Philox stream in numpy, so no command
+    loads ``numpy.random`` (numpy < 2 loads it with numpy itself)."""
+
+    AT_EXIT = ("import atexit, sys\n"
+               "atexit.register(lambda: print('numpy.random' in sys.modules, file=sys.stderr))\n")
+    CLI = AT_EXIT + "import runpy\nrunpy.run_module('archcop.cli', run_name='__main__')\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--family", "f1", "--alpha", "0.5", "--n", "500", "--seed", "3"],
+        ["sample", "--family", "f3", "--alpha", "1", "--n", "500", "--seed", "3",
+         "--method", "frailty"],
+        ["tau", "--method", "mc", "--family", "f1", "--alpha", "0.5", "--n", "500",
+         "--seed", "3"],
+    ])
+    def test_command_does_not_load_numpy_random(self, argv):
+        numpy_alone = subprocess.run([sys.executable, "-c", self.AT_EXIT + "import numpy\n"],
+                                     capture_output=True, text=True, check=True)
+        if numpy_alone.stderr == "True\n":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        done = subprocess.run([sys.executable, "-c", self.CLI, *argv],
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "False\n")
+
+
 class TestBoundaryErrors:
     """Bad seeds and unwritable --out paths are usage errors: exit 2 and
     one stderr line, never a traceback."""
@@ -425,3 +450,15 @@ class TestCsvWriter:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(calls) == failing_call
         assert not path.exists()
+
+    @pytest.mark.parametrize("family", ["f1", "f3"])
+    def test_convergence_failure_leaves_an_existing_file_as_it_was(self, capsys, monkeypatch,
+                                                                  tmp_path, family):
+        monkeypatch.setattr(families, "_NEWTON_CAP", 1)
+        path = tmp_path / "out.csv"
+        path.write_text("keep me\n")
+        code, out, err = run_cli(capsys, "sample", "--family", family, "--alpha", "0.5",
+                                 "--n", "20", "--seed", "1", "--out", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert path.read_text() == "keep me\n"

@@ -7,13 +7,13 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
 
 import archcop as ac
 from archcop import cli, copula, families, numerics, sampling
 from archcop.families import BLOCK, generator
-from oracles import (LineCountingStream, conditional_root_mp, frailty_pdf, mbur_pdf,
+from oracles import (LineCountingStream, _philox, conditional_root_mp, frailty_pdf, mbur_pdf,
                      pairs_csv_loop, sample_conditional_whole, sample_frailty,
                      sample_frailty_copula_whole)
 from test_families import ALL_CASES
@@ -173,7 +173,7 @@ class TestConditionalInversion:
         # on the same seeded draws.
         n, seed = 100_000, 11
         v = ac.sample_conditional(family, param, n, seed).pairs[:, 1]
-        draws = sampling._rng(seed).random((n, 2))
+        draws = _philox(n, 2, seed)
         u = np.clip(draws[:, 0], 1e-15, 1.0 - 1e-15)
         q = np.clip(draws[:, 1], 1e-15, 1.0 - 1e-15)
         ref = numerics.bisect_monotone_batch(
@@ -326,6 +326,7 @@ class TestBlocks:
         (partial(ac.sample_frailty_copula, -1.0, 10, 1), "alpha out of domain"),
         (partial(ac.sample_frailty_copula, 1.0, 0, 1), "n must be >= 1"),
         (partial(ac.sample_frailty_copula, 1.0, 10, 2**128), "seed out of domain"),
+        (partial(ac.sample_conditional, "f1", 0.5, 10, np.int64(-1)), "seed out of domain"),
     ])
     def test_argument_errors_raise_at_the_call(self, call, message):
         with pytest.raises(ac.DomainError, match=message):
@@ -338,6 +339,30 @@ class TestBlocks:
             batch.pairs
         with pytest.raises(ac.ConvergenceError):
             batch.to_csv()
+
+
+class TestPhiloxStream:
+    """The samplers' uniforms are numpy's ``Generator(Philox(key=seed))
+    .random()`` stream, bit for bit, from any word of it."""
+
+    @given(seed=st.integers(0, 2**128 - 1), start=st.integers(0, 4 * BLOCK),
+           count=st.integers(1, 3 * BLOCK))
+    @example(seed=0, start=1, count=1)
+    @example(seed=2**64 - 1, start=2, count=3 * BLOCK)
+    @example(seed=2**64, start=3, count=5)
+    @example(seed=2**128 - 1, start=4 * BLOCK - 1, count=2)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy(self, seed, start, count):
+        got = sampling._uniforms(sampling._key(seed), start, count)
+        want = _philox(1, start + count, seed)[0, start:]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [np.int64(19), np.uint64(19)])
+    def test_seed_types(self, seed):
+        got = ac.sample_conditional("f1", 0.5, 50, seed).pairs
+        assert got.tobytes() == sample_conditional_whole("f1", 0.5, 50, 19).tobytes()
+        got = ac.sample_frailty_copula(1.0, 50, seed).pairs
+        assert got.tobytes() == sample_frailty_copula_whole(50, 19).tobytes()
 
 
 class TestCsvFormat:
