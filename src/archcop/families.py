@@ -146,16 +146,25 @@ class LogPower(NamedTuple):
     def psi(self, t):
         return np.exp(-(t ** (1.0 / self.p)) / self.c)
 
+    def _psi_logs(self, t):
+        """ln((r/c)*t**(r-1)), t**r/c and 1 - r = (p-1)/p, r = 1/p: psi' and
+        psi'' are exps of summed logs, as their factors can leave the double
+        range where they do not, and (p-1)/p does not cancel as p -> 1."""
+        c, p = self
+        a, q = -np.log(p * c), (p - 1.0) / p
+        if q != 0.0:  # else (r - 1)*ln t is 0, also at t = 0
+            a = a - q * np.log(t)
+        return a, t ** (1.0 / p) / c, q
+
     def psi_prime(self, t):
-        r = 1.0 / self.p
-        return -(r / self.c) * t ** (r - 1.0) * np.exp(-(t**r) / self.c)
+        a, e, _ = self._psi_logs(t)
+        return -np.exp(a - e)
 
     def psi_double_prime(self, t):
-        c, r = self.c, 1.0 / self.p
-        e = np.exp(-(t**r) / c)
-        out = (r / c) ** 2 * t ** (2.0 * r - 2.0) * e
-        if r != 1.0:  # at r = 1 the second term vanishes, also at t = 0
-            out = out + (r / c) * (1.0 - r) * t ** (r - 2.0) * e
+        a, e, q = self._psi_logs(t)
+        out = np.exp(2.0 * a - e)  # (r/c)**2 * t**(2r-2) * exp(-t**r/c)
+        if q != 0.0:  # at r = 1 the second term vanishes, also at t = 0
+            out = out + np.exp(a - e + np.log(q) - np.log(t))
         return out
 
     def singular_at_zero(self) -> bool:

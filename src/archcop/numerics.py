@@ -63,18 +63,18 @@ _FULL_WG = np.zeros(15)
 _FULL_WG[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1][:4]])
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7-15 panel; returns (kronrod value, |K-G|)."""
+def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
+    """One Gauss-Kronrod 7-15 panel in one call of f; (kronrod value, |K-G|)."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fv = np.array([f(c + h * x) for x in _FULL_X])
+    fv = f(c + h * _FULL_X)
     k = h * float(_FULL_WK @ fv)
     g = h * float(_FULL_WG @ fv)
     return k, abs(k - g)
 
 
 def adaptive_quad(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     abs_tol: float,
@@ -82,9 +82,8 @@ def adaptive_quad(
 ) -> QuadratureResult:
     """Integrate f over [a, b] by adaptive bisection of GK7-15 panels.
 
-    The caller must supply finite one-sided limit values at singular
-    endpoints; interior panel nodes never touch a or b.  On failure the
-    best estimate is returned with ``converged=False``.
+    f is called once per panel, on an array of its 15 nodes, none of them
+    a or b.  On failure the best estimate is returned with ``converged=False``.
     """
     if not a < b:
         raise DomainError("require a < b")

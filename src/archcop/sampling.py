@@ -28,8 +28,8 @@ others), so a block's pairs are those the whole batch would give.
 Exponential draws use inverse-CDF (-log1p(-U)) for cross-platform
 reproducibility.
 
-A sampler call only checks its arguments and raises their errors; the
-batch makes its pairs when they are read or written (see ``SampleBatch``),
+A sampler call only checks its arguments and returns a ``SampleBatch``,
+the recipe of its pairs, which makes them when they are read or written:
 so ``archcop sample`` holds one block whatever n, and a
 ``ConvergenceError`` is raised by the read or write that makes its block.
 """
@@ -47,24 +47,40 @@ FRAILTY = "frailty"
 
 
 class SampleBatch:
-    """n pairs, every coordinate strictly inside (0, 1), kept as the recipe
-    that makes them: ``blocks()`` yields them as (b, 2) arrays, ``BLOCK``
-    rows at a time.  ``pairs`` makes the (n, 2) array on first access and
-    keeps it; until then ``to_csv`` makes and writes one block at a time."""
+    """n pairs, every coordinate strictly inside (0, 1), kept as their
+    recipe: ``fill(draws, out)`` maps a block's (b, width) uniform draws
+    to its b pairs in ``out``, then clipped to [1e-15, 1 - 1e-15].
+    ``pairs`` makes the (n, 2) array on first access and keeps it; until
+    then ``to_csv`` makes and writes one ``BLOCK`` of rows at a time."""
 
-    def __init__(self, n: int, blocks):
+    def __init__(self, n: int, seed: int, width: int, fill):
+        if n < 1:
+            raise DomainError("n must be >= 1")
         self._n = n
-        self._blocks = blocks
+        self._key = _key(seed)  # a bad seed is an error of the sampler call, not of a later read
+        self._width = width
+        self._fill = fill
         self._pairs = None
+
+    def _blocks(self):
+        """The pairs as (b, 2) arrays: slices of ``pairs`` once it is made."""
+        n, w = self._n, self._width
+        for i in range(0, n, BLOCK):
+            b = min(BLOCK, n - i)
+            if self._pairs is None:
+                draws = _uniforms(self._key, i * w, b * w).reshape(b, w)
+                out = np.empty((b, 2))
+                self._fill(draws, out)
+                yield np.clip(out, _EPS, 1.0 - _EPS, out=out)
+            else:
+                yield self._pairs[i : i + b]
 
     @property
     def pairs(self) -> np.ndarray:
         if self._pairs is None:
             pairs = np.empty((self._n, 2))
-            i = 0
-            for block in self._blocks():
+            for i, block in zip(range(0, self._n, BLOCK), self._blocks()):
                 pairs[i : i + len(block)] = block
-                i += len(block)
             self._pairs = pairs
         return self._pairs
 
@@ -74,11 +90,7 @@ class SampleBatch:
         whole when there is no ``out``."""
         from . import csvtext  # only the commands that write CSV load it
 
-        if self._pairs is None:
-            blocks = self._blocks()
-        else:
-            blocks = (self._pairs[i : i + BLOCK] for i in range(0, self._n, BLOCK))
-        text = csvtext.table("u,v", blocks)
+        text = csvtext.table("u,v", self._blocks())
         if out is None:
             return "".join(text)
         out.writelines(text)
@@ -145,27 +157,6 @@ def _uniforms(key: tuple[int, int], start: int, count: int) -> np.ndarray:
     return words * 2.0**-53
 
 
-def _batch(n: int, seed: int, width: int, fill) -> SampleBatch:
-    """n pairs made ``BLOCK`` rows at a time from one Philox stream:
-    ``fill(draws, out)`` maps the (b, width) uniform draws of a block to
-    its b pairs in ``out``, whose coordinates are then clipped to
-    [1e-15, 1 - 1e-15].  The arguments are checked here; the pairs are
-    made when they are read or written."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    key = _key(seed)  # a bad seed is an error of this call, not of a later read
-
-    def blocks():
-        for i in range(0, n, BLOCK):
-            b = min(BLOCK, n - i)
-            draws = _uniforms(key, i * width, b * width).reshape(b, width)
-            out = np.empty((len(draws), 2))
-            fill(draws, out)
-            yield np.clip(out, _EPS, 1.0 - _EPS, out=out)
-
-    return SampleBatch(n, blocks)
-
-
 def sample_conditional(family: str, param: float | None, n: int, seed: int) -> SampleBatch:
     """Sample n pairs by conditional inversion: u ~ U(0,1) and q ~ U(0,1),
     both clipped to [1e-15, 1 - 1e-15], then v solves dC/du(u, v) = q
@@ -181,7 +172,7 @@ def sample_conditional(family: str, param: float | None, n: int, seed: int) -> S
         out[:, 0] = u
         out[:, 1] = g.conditional_v(u, -np.log(np.clip(draws[:, 1], _EPS, 1.0 - _EPS)))
 
-    return _batch(n, seed, 2, fill)
+    return SampleBatch(n, seed, 2, fill)
 
 
 def sample_frailty_copula(alpha: float, n: int, seed: int) -> SampleBatch:
@@ -198,4 +189,4 @@ def sample_frailty_copula(alpha: float, n: int, seed: int) -> SampleBatch:
         out[:, 0] = g.psi(e[:, 2] / gamma)
         out[:, 1] = g.psi(e[:, 3] / gamma)
 
-    return _batch(n, seed, 4, fill)
+    return SampleBatch(n, seed, 4, fill)

@@ -180,6 +180,20 @@ def log_power_phi_mp(c, p, z):
                 p * c * c * (c * x) ** (p - 2) * (p - 1 + x) / z**2)
 
 
+def log_power_psi_mp(c, p, t):
+    """(psi', psi'') of the log-power inverse generator exp(-t**r/c),
+    r = 1/p, at t, to 50 digits: the textbook -(r/c)*t**(r-1)*E and
+    (r/c)**2*t**(2r-2)*E + (r/c)*(1-r)*t**(r-2)*E, E = exp(-t**r/c), in
+    mpmath on the exact double inputs, with none of the production code's
+    log forms."""
+    with mpmath.workdps(50):
+        c, p, t = mpmath.mpf(c), mpmath.mpf(p), mpmath.mpf(t)
+        r = 1 / p
+        e = mpmath.exp(-(t**r) / c)
+        return (-(r / c) * t ** (r - 1) * e,
+                (r / c) ** 2 * t ** (2 * r - 2) * e + (r / c) * (1 - r) * t ** (r - 2) * e)
+
+
 def frailty_psi_mp(a, t):
     """psi(t) = 6a**2/((t + 2a)(t + 3a)) of f3, to 50 digits."""
     with mpmath.workdps(50):

@@ -159,6 +159,21 @@ class TestCrossFamilyIdentities:
             assert np.all(C <= upper + 1e-12)
 
 
+class TestTailDependence:
+    """The tail dependence coefficients from ``cdf``: f3's lower
+    lambda_L = lim C(u, u)/u = 1/4, as psi(t) ~ 6/t**2, and the log-power
+    kind's upper lambda_U = lim (1 - 2u + C(u, u))/(1 - u) = 2 - 2**(1/p)."""
+
+    def test_f3_lower(self):
+        u = 1e-100
+        assert abs(ac.cdf("f3", 1.0, u, u) / u - 0.25) <= 1e-12
+
+    def test_gumbel_upper(self):
+        u = 1.0 - 1e-6
+        lam = (1.0 - 2.0 * u + ac.cdf("gumbel", 2.0, u, u)) / (1.0 - u)
+        assert abs(lam - (2.0 - math.sqrt(2.0))) <= 1e-5
+
+
 class TestF3ClosedForms:
     """f3's dC/du and density in s = sqrt(1 + 24/z), against the 50-digit
     generator composition."""

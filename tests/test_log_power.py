@@ -10,12 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import archcop as ac
 from archcop.families import LogPower, generator
-from oracles import gumbel_mp, log_power_theta
+from oracles import gumbel_mp, log_power_psi_mp, log_power_theta
 
 EPS = np.finfo(float).eps
 
@@ -68,6 +68,31 @@ def test_compositions_match_closed_form(case, u, v):
     assert agrees(c, exact[0], rtol)
     assert agrees(du, exact[1], rtol)
     assert agrees(pdf, exact[2], rtol)
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(
+        lambda x: min(max(math.exp(x), lo), hi))
+
+
+@given(case=st.one_of(st.tuples(st.sampled_from(["f1", "f2"]), log_uniform(1e-3, 1.0)),
+                      st.tuples(st.just("gumbel"), log_uniform(1.0, 1e3))),
+       t=st.one_of(log_uniform(5e-324, 1e3), st.floats(min_value=5e-324, max_value=1e3)))
+@example(case=("f1", 1e-3), t=1e-200)
+@example(case=("f1", 1e-3), t=1e-127)
+@example(case=("f1", 0.0011759377044943836), t=1.051218367982332e-49)
+@settings(max_examples=300, deadline=None)
+def test_psi_derivatives_match_closed_form(case, t):
+    """psi' and psi'' to 1e-12 wherever the value is a normal double,
+    where t**(r-1), t**(2r-2) or exp(-t**r/c) alone may overflow, underflow
+    or be subnormal; a RuntimeWarning fails the test (pyproject.toml)."""
+    family, param = case
+    g = generator(family, param)
+    for fn, exact in zip((ac.psi_prime, ac.psi_double_prime), log_power_psi_mp(g.c, g.p, t)):
+        if not np.finfo(float).tiny <= abs(exact) <= np.finfo(float).max:
+            continue
+        got = fn(family, param, t)
+        assert abs(got - float(exact)) <= 1e-12 * abs(float(exact))
 
 
 @pytest.mark.parametrize("family,param", [("f1", 1e-3), ("f1", 5e-3), ("f1", 0.01),

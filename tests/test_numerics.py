@@ -17,16 +17,13 @@ class TestAdaptiveQuad:
         assert res.value == pytest.approx(0.5, abs=1e-10)
 
     def test_u_log_u(self):
-        res = adaptive_quad(lambda u: 0.0 if u == 0.0 else u * math.log(u),
-                            0.0, 1.0, 1e-10)
+        res = adaptive_quad(lambda u: u * np.log(u), 0.0, 1.0, 1e-10)
         assert res.converged
         assert res.value == pytest.approx(-0.25, abs=1e-9)
 
     def test_frailty_tau_integrand(self):
         def f(u):
-            if u == 0.0:
-                return 0.0
-            s = math.sqrt(1.0 + 24.0 / u)
+            s = np.sqrt(1.0 + 24.0 / u)
             return (5.0 - s) * s * u * u / 12.0
 
         res = adaptive_quad(f, 0.0, 1.0, 1e-8)
@@ -43,17 +40,29 @@ class TestAdaptiveQuad:
             assert abs(res.value - 1.0) <= 1e-12
 
     def test_error_estimate_bounds_true_error(self):
-        res = adaptive_quad(lambda u: math.exp(u), 0.0, 1.0, 1e-11)
+        res = adaptive_quad(np.exp, 0.0, 1.0, 1e-11)
         assert res.converged
         assert abs(res.value - (math.e - 1.0)) <= 1e-11
         assert res.abs_error_estimate <= 1e-11
 
     def test_reports_nonconvergence(self):
         # integrable singularity with an absurd tolerance exhausts the budget
-        res = adaptive_quad(lambda u: 0.0 if u == 0.0 else u**-0.9,
-                            0.0, 1.0, 1e-14, max_evals=2000)
+        res = adaptive_quad(lambda u: u**-0.9, 0.0, 1.0, 1e-14, max_evals=2000)
         assert not res.converged
         assert res.evaluations <= 2000
+
+    def test_one_call_per_panel(self):
+        # each panel passes its 15 nodes, none an endpoint, in one call
+        calls = []
+
+        def f(u):
+            calls.append(u)
+            return np.sqrt(u)
+
+        res = adaptive_quad(f, 0.0, 1.0, 1e-10)
+        assert res.converged and len(calls) > 1
+        assert all(u.shape == (15,) and (0.0 < u).all() and (u < 1.0).all() for u in calls)
+        assert res.evaluations == 15 * len(calls)
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ac.DomainError):

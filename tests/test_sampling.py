@@ -244,6 +244,36 @@ class TestFrailtyCopulaSampler:
         assert a.to_csv() == b.to_csv()
 
 
+class TestCorners:
+    """A sample's corner squares of side q hold the copula's own mass,
+    which ``cdf`` gives exactly at finite q: P(U < q, V < q) = C(q, q) and
+    P(U > 1 - q, V > 1 - q) = 1 - 2(1 - q) + C(1 - q, 1 - q)."""
+
+    N = 1_000_000
+
+    @pytest.mark.parametrize("family,param,method", [
+        ("f1", 0.25, "conditional"), ("f1", 1e-3, "conditional"),
+        ("f2", 0.6, "conditional"), ("f2", 1e-3, "conditional"),
+        ("gumbel", 1.5, "conditional"), ("gumbel", 1e3, "conditional"),
+        ("independence", None, "conditional"),
+        ("f3", 2.0, "conditional"), ("f3", 2.0, "frailty"),
+    ])
+    def test_corner_mass(self, family, param, method):
+        if method == "frailty":
+            batch = ac.sample_frailty_copula(param, self.N, 2026)
+        else:
+            batch = ac.sample_conditional(family, param, self.N, 2026)
+        u, v = batch.pairs.T
+        for q in (1e-2, 1e-3):
+            low = ac.cdf(family, param, q, q)
+            high = 1.0 - 2.0 * (1.0 - q) + ac.cdf(family, param, 1.0 - q, 1.0 - q)
+            for inside, mass in [((u < q) & (v < q), low), ((u > 1.0 - q) & (v > 1.0 - q), high)]:
+                if self.N * mass < 10:  # too few expected points for the normal SE
+                    continue
+                se = math.sqrt(mass * (1.0 - mass) / self.N)
+                assert abs(inside.mean() - mass) <= 4.0 * se
+
+
 class TestBlocks:
     """Sampling ``BLOCK`` rows at a time gives the whole batch's pairs."""
 
