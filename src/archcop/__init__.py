@@ -18,6 +18,7 @@ from .families import (
     GUMBEL,
     INDEPENDENCE,
     ConditionReport,
+    ConvergenceError,
     DomainError,
     check_generator_conditions,
     check_param,
@@ -28,7 +29,6 @@ from .families import (
     psi_double_prime,
     psi_prime,
 )
-from .numerics import ConvergenceError
 from .sampling import SampleBatch, sample_conditional, sample_frailty_copula
 
 __version__ = "0.1.0"

@@ -25,8 +25,8 @@ from .diagnostics import (
     kendall_tau_mc,
     kendall_tau_quadrature,
 )
-from .families import BLOCK, FAMILIES, TABLE, DomainError, Frailty, check_param, phi
-from .numerics import ConvergenceError
+from .families import (BLOCK, FAMILIES, TABLE, ConvergenceError, DomainError, Frailty,
+                       check_param, phi)
 from .sampling import CONDITIONAL, FRAILTY, sample_conditional, sample_frailty_copula
 
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .families import _ret, _unit, generator
+from .families import _points, _ret, generator
 
 
-def _broadcast_unit(u, v, *, open_u=False, open_v=False):
-    uu, su = _unit(u, "u", open_interval=open_u)
-    vv, sv = _unit(v, "v", open_interval=open_v)
+def _broadcast_unit(u, v, u_domain="[0,1]", v_domain="[0,1]"):
+    uu, su = _points(u, "u", u_domain)
+    vv, sv = _points(v, "v", v_domain)
     uu, vv = np.broadcast_arrays(uu, vv)
     return uu, vv, su and sv
 
@@ -51,7 +51,7 @@ def partial_u(family: str, param: float | None, u, v):
     rounding excursions.
     """
     g = generator(family, param)
-    uu, vv, scalar = _broadcast_unit(u, v, open_u=True)
+    uu, vv, scalar = _broadcast_unit(u, v, "(0,1)")
     out = vv + 0.0  # a copy, with -0.0 as 0.0
     m = (0.0 < vv) & (vv < 1.0)
     out[m] = g.partial_u(uu[m], vv[m])
@@ -62,5 +62,5 @@ def partial_u(family: str, param: float | None, u, v):
 def density(family: str, param: float | None, u, v):
     """Copula density c(u, v) at an interior point; non-negative."""
     g = generator(family, param)
-    uu, vv, scalar = _broadcast_unit(u, v, open_u=True, open_v=True)
+    uu, vv, scalar = _broadcast_unit(u, v, "(0,1)", "(0,1)")
     return _ret(g.density(uu, vv), scalar)

@@ -21,12 +21,13 @@ from .families import (
     BLOCK,
     TABLE,
     ConditionReport,
+    ConvergenceError,
     DomainError,
     check_generator_conditions,
     check_param,
     generator,
 )
-from .numerics import ConvergenceError, adaptive_quad
+from .numerics import adaptive_quad
 
 # Tolerances used by the lattice audit.
 BOUNDARY_TOL = 1e-12

@@ -158,13 +158,15 @@ class LogPower(NamedTuple):
 
     def psi_prime(self, t):
         a, e, _ = self._psi_logs(t)
-        return -np.exp(a - e)
+        with np.errstate(over="ignore"):  # near t = 0 psi' is past the double range
+            return -np.exp(a - e)
 
     def psi_double_prime(self, t):
         a, e, q = self._psi_logs(t)
-        out = np.exp(2.0 * a - e)  # (r/c)**2 * t**(2r-2) * exp(-t**r/c)
-        if q != 0.0:  # at r = 1 the second term vanishes, also at t = 0
-            out = out + np.exp(a - e + np.log(q) - np.log(t))
+        with np.errstate(over="ignore"):  # near t = 0 psi'' is past the double range
+            out = np.exp(2.0 * a - e)  # (r/c)**2 * t**(2r-2) * exp(-t**r/c)
+            if q != 0.0:  # at r = 1 the second term vanishes, also at t = 0
+                out = out + np.exp(a - e + np.log(q) - np.log(t))
         return out
 
     def singular_at_zero(self) -> bool:
@@ -374,8 +376,7 @@ class Family(NamedTuple):
     """One family: its parameter, its generator kind and its Kendall tau."""
 
     param: str | None  # name of the parameter; None if it takes none
-    domain: str  # the parameter's interval, as error messages print it
-    admits: Callable[[float], bool]
+    domain: str  # the parameter's interval, as ``_inside`` reads it and errors print it
     kind: type
     coeffs: Callable[[float | None], tuple]  # parameter -> kind's coefficients
     tau: Callable[[float | None], float]
@@ -383,29 +384,37 @@ class Family(NamedTuple):
     tau_error: float = 0.0
 
 
-_UNIT = lambda a: 0.0 < a <= 1.0  # noqa: E731
-
 TABLE = {
-    F1: Family("alpha", "(0,1]", _UNIT, LogPower, lambda a: (a, 1.0 / a),
+    F1: Family("alpha", "(0,1]", LogPower, lambda a: (a, 1.0 / a),
                lambda a: 1.0 - a, "tau = 1 - alpha"),
-    F2: Family("alpha", "(0,1]", _UNIT, LogPower, lambda a: (1.0, 1.0 / (a * a)),
+    F2: Family("alpha", "(0,1]", LogPower, lambda a: (1.0, 1.0 / (a * a)),
                lambda a: 1.0 - a * a,
                "tau = 1 - alpha^2, confirmed by quadrature of the generator "
                "ratio and by the Gumbel reduction; the originally stated "
                "1 - 2*alpha^2 does not match the tau integral (errata)"),
-    F3: Family("alpha", "(0,inf)", lambda a: a > 0.0, Frailty, lambda a: (a,),
+    F3: Family("alpha", "(0,inf)", Frailty, lambda a: (a,),
                lambda a: F3_TAU,
                "alpha-free constant 1 + 4*I, I = -0.19922777...; originally "
                "rounded to 0.20332, and the alternative statements "
                "1 - 2*alpha^2 and 0.32 do not match the tau integral (errata)",
                tau_error=1e-15),
-    GUMBEL: Family("theta", "[1,inf)", lambda t: t >= 1.0, LogPower, lambda t: (1.0, t),
+    GUMBEL: Family("theta", "[1,inf)", LogPower, lambda t: (1.0, t),
                    lambda t: 1.0 - 1.0 / t, "tau = 1 - 1/theta"),
-    INDEPENDENCE: Family(None, "", lambda _: True, LogPower, lambda _: (1.0, 1.0),
+    INDEPENDENCE: Family(None, "", LogPower, lambda _: (1.0, 1.0),
                          lambda _: 0.0, "independence"),
 }
 
 FAMILIES = tuple(TABLE)
+
+
+def _inside(a, domain: str):
+    """Whether ``a``, a float or an array of them, lies in the interval that
+    ``domain`` writes: two ends, such as ``0`` or ``inf``, between brackets
+    that say whether each end is in it, as in ``"(0,1]"``.  NaN is in none."""
+    lo, hi = map(float, domain[1:-1].split(","))
+    above = a > lo if domain[0] == "(" else a >= lo
+    below = a < hi if domain[-1] == ")" else a <= hi
+    return above & below
 
 
 def check_param(family: str, param: float | None) -> float | None:
@@ -427,7 +436,7 @@ def check_param(family: str, param: float | None) -> float | None:
     if param is None or not np.isfinite(param):
         raise DomainError(f"family {family!r} requires a finite parameter")
     p = float(param)
-    if not row.admits(p):
+    if not _inside(p, row.domain):
         raise DomainError(f"{row.param} out of domain {row.domain} for family {family!r}")
     return p
 
@@ -439,28 +448,14 @@ def generator(family: str, param: float | None):
     return row.kind(*row.coeffs(p))
 
 
-def _unit(x, name, *, open_interval=False):
-    """Coerce to float array in [0,1] (or (0,1)); return (array, was_scalar)."""
+def _points(x, name: str, domain: str):
+    """Coerce to a float array with every point in ``domain``; return
+    (array, was_scalar)."""
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
     a = np.atleast_1d(arr)
-    bad = ~((a >= 0.0) & (a <= 1.0))
-    if open_interval:
-        bad |= (a == 0.0) | (a == 1.0)
-    if bad.any():
-        interval = "(0,1)" if open_interval else "[0,1]"
-        raise DomainError(f"{name} out of domain {interval}")
-    return a, scalar
-
-
-def _nonneg(x, name):
-    """Coerce to float array in [0, inf]; +inf allowed."""
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    a = np.atleast_1d(arr)
-    if (~(a >= 0.0)).any():
-        raise DomainError(f"{name} out of domain [0,inf]")
-    return a, scalar
+    if not _inside(a, domain).all():
+        raise DomainError(f"{name} out of domain {domain}")
+    return a, arr.ndim == 0
 
 
 def _ret(out, scalar):
@@ -484,33 +479,33 @@ def _derivative(direct, log_form, z):
 def phi(family: str, param: float | None, z):
     """Generator value phi(z) in [0, inf]; phi(1) = 0 and phi(0) = +inf."""
     g = generator(family, param)
-    zz, scalar = _unit(z, "z")
+    zz, scalar = _points(z, "z", "[0,1]")
     return _ret(np.piecewise(zz, [zz == 0.0, zz == 1.0], [np.inf, 0.0, g.phi]), scalar)
 
 
 def phi_prime(family: str, param: float | None, z):
     """First derivative of the generator; strictly negative on (0,1)."""
     g = generator(family, param)
-    zz, scalar = _unit(z, "z", open_interval=True)
+    zz, scalar = _points(z, "z", "(0,1)")
     return _ret(_derivative(g.phi_prime, g.log_phi_prime, zz), scalar)
 
 
 def phi_double_prime(family: str, param: float | None, z):
     """Second derivative of the generator; strictly positive on (0,1)."""
     g = generator(family, param)
-    zz, scalar = _unit(z, "z", open_interval=True)
+    zz, scalar = _points(z, "z", "(0,1)")
     return _ret(_derivative(g.phi_double_prime, g.log_phi_double_prime, zz), scalar)
 
 
 def psi(family: str, param: float | None, t):
     """Inverse generator psi(t) in [0,1]; psi(0) = 1 and psi(inf) = 0."""
     g = generator(family, param)
-    tt, scalar = _nonneg(t, "t")
+    tt, scalar = _points(t, "t", "[0,inf]")
     return _ret(np.piecewise(tt, [tt == 0.0, np.isinf(tt)], [1.0, 0.0, g.psi]), scalar)
 
 
 def _t_strict(family, g, t):
-    tt, scalar = _nonneg(t, "t")
+    tt, scalar = _points(t, "t", "[0,inf]")
     if g.singular_at_zero() and (tt == 0.0).any():
         raise DomainError(f"t=0 is singular for family {family!r} at this parameter")
     return tt, scalar
@@ -538,9 +533,7 @@ def generator_ratio(family: str, param: float | None, z):
     algebraically identical and stable over the whole open interval.
     """
     g = generator(family, param)
-    zz, scalar = _unit(z, "z")
-    if (zz == 1.0).any():
-        raise DomainError("z out of domain [0,1)")
+    zz, scalar = _points(z, "z", "[0,1)")
     return _ret(np.piecewise(zz, [zz == 0.0], [0.0, g.ratio]), scalar)
 
 

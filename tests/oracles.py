@@ -20,11 +20,9 @@ import mpmath
 import numpy as np
 
 from archcop import cdf, density, phi
-from archcop.copula import _broadcast_unit
 from archcop.diagnostics import (BOUNDARY_TOL, CELL_VOLUME_TOL, MARGIN_TOL, SINGULARITY_TOL,
                                  ValidityReport, singularity_limit)
-from archcop.families import (DomainError, Frailty, _ret, check_generator_conditions,
-                              generator)
+from archcop.families import DomainError, Frailty, check_generator_conditions, generator
 
 
 def f3_reduced_cdf(u, v):
@@ -89,7 +87,12 @@ def reference_gumbel_cdf(theta: float, u, v):
     """
     if theta is None or not theta >= 1.0:
         raise DomainError("theta out of domain [1,inf) for family 'gumbel'")
-    uu, vv, scalar = _broadcast_unit(u, v)
+    uu, vv = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (u, v))
+    for name, x in (("u", uu), ("v", vv)):
+        if not np.all((0.0 <= x) & (x <= 1.0)):
+            raise DomainError(f"{name} out of domain [0,1]")
+    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
+    uu, vv = np.broadcast_arrays(uu, vv)
     out = np.empty_like(uu)
     zero = (uu == 0.0) | (vv == 0.0)
     out[zero] = 0.0
@@ -102,7 +105,7 @@ def reference_gumbel_cdf(theta: float, u, v):
         a = (-np.log(uu[m])) ** theta
         b = (-np.log(vv[m])) ** theta
         out[m] = np.exp(-((a + b) ** (1.0 / theta)))
-    return _ret(out, scalar)
+    return float(out[0]) if scalar else out
 
 
 def gumbel_mp(theta, u, v):

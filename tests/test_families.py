@@ -371,3 +371,111 @@ class TestConditionReport:
     def test_rejects_small_probe_count(self):
         with pytest.raises(ac.DomainError):
             ac.check_generator_conditions("f1", 0.5, 2)
+
+
+# The domains as the documentation states them, written out here rather than
+# read from archcop: (low end, low end in it, high end, high end in it, text).
+UNIT = (0.0, True, 1.0, True, "[0,1]")
+OPEN_UNIT = (0.0, False, 1.0, False, "(0,1)")
+HALF_OPEN_UNIT = (0.0, True, 1.0, False, "[0,1)")
+T_RANGE = (0.0, True, math.inf, True, "[0,inf]")
+POINT_DOMAINS = [  # (function, argument, its interval, a point inside it)
+    (ac.phi, "z", UNIT, 0.5),
+    (ac.phi_prime, "z", OPEN_UNIT, 0.5),
+    (ac.phi_double_prime, "z", OPEN_UNIT, 0.5),
+    (ac.psi, "t", T_RANGE, 1.0),
+    (ac.psi_prime, "t", T_RANGE, 1.0),
+    (ac.psi_double_prime, "t", T_RANGE, 1.0),
+    (generator_ratio, "z", HALF_OPEN_UNIT, 0.5),
+    (ac.cdf, "u", UNIT, 0.5),
+    (ac.cdf, "v", UNIT, 0.5),
+    (ac.partial_u, "u", OPEN_UNIT, 0.5),
+    (ac.partial_u, "v", UNIT, 0.5),
+    (ac.density, "u", OPEN_UNIT, 0.5),
+    (ac.density, "v", OPEN_UNIT, 0.5),
+]
+PARAM_DOMAINS = {  # family -> (parameter, its interval)
+    "f1": ("alpha", (0.0, False, 1.0, True, "(0,1]")),
+    "f2": ("alpha", (0.0, False, 1.0, True, "(0,1]")),
+    "f3": ("alpha", (0.0, False, math.inf, False, "(0,inf)")),
+    "gumbel": ("theta", (1.0, True, math.inf, False, "[1,inf)")),
+}
+# psi' and psi'' are singular at t = 0 where the log-power exponent p > 1
+POINT_CASES = [("f1", 1.0), ("f1", 0.4), ("f2", 1.0), ("f2", 0.6), ("f2", 1e-3), ("f3", 2.0),
+               ("gumbel", 1.0), ("gumbel", 5.0), ("independence", None)]
+SINGULAR_AT_ZERO = {("f1", 0.4), ("f2", 0.6), ("f2", 1e-3), ("gumbel", 5.0)}
+
+
+def probes(domain):
+    """Each end of ``domain``, the doubles just inside and just beyond it,
+    NaN, +-inf and -0.0."""
+    lo, _, hi, _, _ = domain
+    near = [lo, np.nextafter(lo, -math.inf), np.nextafter(lo, math.inf),
+            hi, np.nextafter(hi, math.inf), np.nextafter(hi, -math.inf)]
+    return sorted({float(x) for x in near} | {-math.inf, math.inf, -0.0}) + [math.nan]
+
+
+def inside(x, domain):
+    lo, lo_in, hi, hi_in, _ = domain
+    return lo < x < hi or (x == lo and lo_in) or (x == hi and hi_in)
+
+
+def call(fn, name, value, other, family, param):
+    if name in ("u", "v"):
+        u, v = (value, other) if name == "u" else (other, value)
+        return fn(family, param, u, v)
+    return fn(family, param, value)
+
+
+def domain_error_text(fn, *args):
+    with pytest.raises(ac.DomainError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("family,param", POINT_CASES)
+@pytest.mark.parametrize("fn,name,domain,mid", POINT_DOMAINS,
+                         ids=[f"{fn.__name__}-{name}" for fn, name, _, _ in POINT_DOMAINS])
+def test_point_domains(fn, name, domain, mid, family, param):
+    for x in probes(domain):
+        arr = np.array([[mid, x], [x, mid]])
+        singular = (name == "t" and x == 0.0 and fn is not ac.psi
+                    and (family, param) in SINGULAR_AT_ZERO)
+        if singular:
+            text = f"t=0 is singular for family {family!r} at this parameter"
+        elif not inside(x, domain):
+            text = f"{name} out of domain {domain[4]}"
+        else:
+            out = call(fn, name, x, mid, family, param)
+            assert type(out) is float, (x, out)
+            out = call(fn, name, arr, mid, family, param)
+            assert isinstance(out, np.ndarray) and out.shape == (2, 2), (x, out)
+            continue
+        for value in (x, arr):
+            got = domain_error_text(call, fn, name, value, mid, family, param)
+            assert got == text, (x, got)
+
+
+@pytest.mark.parametrize("family", PARAM_DOMAINS)
+def test_param_domains(family):
+    name, domain = PARAM_DOMAINS[family]
+    for a in probes(domain):
+        if not math.isfinite(a):
+            text = f"family {family!r} requires a finite parameter"
+        elif not inside(a, domain):
+            text = f"{name} out of domain {domain[4]} for family {family!r}"
+        else:
+            assert ac.check_param(family, a) == a
+            continue
+        assert domain_error_text(ac.check_param, family, a) == text, a
+        for fn, arg, _, mid in POINT_DOMAINS:
+            assert domain_error_text(call, fn, arg, mid, 0.5, family, a) == text, (fn, a)
+
+
+def test_independence_takes_no_parameter():
+    assert ac.check_param("independence", None) is None
+    for a in (0.5, 1.0, math.nan, math.inf):
+        text = "independence takes no parameter"
+        assert domain_error_text(ac.check_param, "independence", a) == text
+        for fn, arg, _, mid in POINT_DOMAINS:
+            assert domain_error_text(call, fn, arg, mid, 0.5, "independence", a) == text

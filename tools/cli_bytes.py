@@ -13,10 +13,12 @@ inside the unit square and on its edge (0, -0.0, 1, 1e-310), small cdf,
 pdf and generator grids, generator grids on either side of their block,
 check on a small lattice and on one that ends in a partial strip, tau by
 every method and sample by both methods, at sizes on either side of the
-samplers' block; ``tau --method mc`` on stdin fixtures whose fault lies
-past the stdin reader's first block; and every command
-``perfbench/run.py`` issues at seeds 1 and 2 (a ``sample | tau`` pipe
-feeds the first command's stdout to the second).
+samplers' block; eval outside the domain (u at -0.1, 1.5 and nan, each
+family's parameter just outside each end of its interval and at nan and
++-inf, and a parameter flag the family does not take); ``tau --method mc``
+on stdin fixtures whose fault lies past the stdin reader's first block;
+and every command ``perfbench/run.py`` issues at seeds 1 and 2 (a
+``sample | tau`` pipe feeds the first command's stdout to the second).
 
 A line is printed for each command whose stdout, stderr, exit code or
 ``--out`` file differs, naming the parts that differ, then a count.  In
@@ -46,6 +48,15 @@ CASES = [
 ]
 POINTS = [("0.3", "0.7"), ("0", "0.5"), ("-0.0", "0.5"), ("0.5", "-0.0"), ("1", "0.4"),
           ("0.4", "1"), ("1e-310", "0.5"), ("0.5", "1e-310"), ("0", "1"), ("1", "1")]
+# outside the domain: eval's u, and each family's parameter at and just past
+# each excluded end, past each included one, and at nan and +-inf
+BAD_U = ("-0.1", "1.5", "nan")
+BAD_PARAMS = [
+    *(("f1", a) for a in ("-5e-324", "0", "1.0000000000000002", "nan", "inf", "-inf")),
+    *(("f2", a) for a in ("-5e-324", "0", "1.0000000000000002", "nan", "inf", "-inf")),
+    *(("f3", a) for a in ("-5e-324", "0", "nan", "inf", "-inf")),
+    *(("gumbel", t) for t in ("0.9999999999999999", "nan", "inf", "-inf")),
+]
 
 
 def family_args(family, param):
@@ -59,6 +70,15 @@ def fixed_commands(work: Path):
     out = str(work / "out.csv")
     for fixture in stdin_fixtures():
         yield fixture, ["tau", "--method", "mc"], None
+    # "--flag=value", as argparse takes a separate "-5e-324" for an option
+    for u in BAD_U:
+        yield None, ["eval", "--family", "f1", "--alpha", "0.3", f"--u={u}", "--v", "0.5"], None
+    for family, param in BAD_PARAMS:
+        flag = "--theta" if family == "gumbel" else "--alpha"
+        argv = ["eval", "--family", family, f"{flag}={param}", "--u", "0.3", "--v", "0.7"]
+        yield None, argv, None
+    for argv in (["--family", "gumbel", "--alpha", "2"], ["--family", "f1", "--theta", "0.5"]):
+        yield None, ["eval", *argv, "--u", "0.3", "--v", "0.7"], None
     for family, param in CASES:
         fam = family_args(family, param)
         for u, v in POINTS:

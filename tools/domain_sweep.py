@@ -16,8 +16,9 @@ quadrature and by Monte Carlo, four commands at a time.
 A command is flagged when its stderr holds a traceback or a warning, its
 stdout holds ``nan``, or it exits with a code outside {0, 2, 3} (the CLI's
 success, usage or domain error, and convergence failure).  A line is
-printed for each flagged command, naming why, then the count.  The exit
-status is 0 whatever is flagged: the sweep is a report, not yet a gate.
+printed for each flagged command, naming why, then the count, as the last
+line ``N of 189 commands flagged``.  The exit status is 0 whatever is
+flagged; CI reads N from that line and fails above a ceiling.
 """
 
 from __future__ import annotations
