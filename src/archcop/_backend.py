@@ -37,30 +37,33 @@ def _discordant(keys: np.ndarray) -> np.ndarray:
     """For each entry, the number of entries it is inverted with (keys in [0, n)).
 
     At width w the array is sorted within each block of w.  Tagging each
-    entry with its 2w-block (block * n + key) and sorting stably merges the
-    two halves of every block in place, left entries first among equals, so
-    each entry moves past exactly the other-half entries it is inverted
-    with.  The merges together are a stable sort of ``keys``, which tells
-    where each entry's summed moves end up.
+    entry with its 2w-block (block number in the bits above the keys') and
+    sorting stably merges the two halves of every block in place, left
+    entries first among equals, so each entry moves past exactly the
+    other-half entries it is inverted with.  The merges together are a
+    stable sort of ``keys``, which tells where each entry's summed moves
+    end up.
     """
     n = keys.size
+    bits = n.bit_length()
     pos = np.arange(n, dtype=np.int64)
     moved = np.zeros(n, dtype=np.int64)
-    merged = keys
-    w = 1
-    while w < n:
-        block = pos // (2 * w) * n
-        tagged = merged + block
-        order = np.argsort(tagged, kind="stable")
-        merged = tagged[order]
-        merged -= block
-        moved = moved[order]
+    merged = keys.astype(np.int64)
+    spare = np.empty_like(moved)
+    for level in range(1, (n - 1).bit_length() + 1):  # merge blocks of 2**level
+        np.right_shift(pos, level, out=spare)
+        spare <<= bits
+        spare |= merged
+        order = np.argsort(spare, kind="stable")
+        np.take(spare, order, out=merged, mode="clip")
+        merged &= (1 << bits) - 1
+        np.take(moved, order, out=spare, mode="clip")
+        moved, spare = spare, moved
         order -= pos
         moved += np.abs(order, out=order)
-        w *= 2
-    out = np.empty_like(moved)
-    out[np.argsort(keys, kind="stable")] = moved
-    return out
+        del order  # before the next argsort
+    spare[np.argsort(keys, kind="stable")] = moved
+    return spare
 
 
 def concordance_diff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -68,16 +71,16 @@ def concordance_diff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.size
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-    y_sorted = np.sort(y)
-    ranks = np.searchsorted(y_sorted, ys)  # equal y, equal rank
-    new_x = _run_starts(xs)
-    c = n + _run_sizes(new_x | _run_starts(ys))
+    order = np.argsort(y, kind="stable")
+    ranks = np.cumsum(_run_starts(y[order])) - 1  # the count of smaller distinct y
+    by_x = np.argsort(x[order], kind="stable")  # ties stay in y order
+    order, ranks = order[by_x], ranks[by_x]  # Knight's (x, y) order
+    del by_x  # the merge below is the peak of memory
+    c = n - 2 * _discordant(ranks)
+    new_x = _run_starts(x[order])
+    c += _run_sizes(new_x | _run_starts(ranks))
     c -= _run_sizes(new_x)
-    c -= _run_sizes(_run_starts(y_sorted))[ranks]
-    del xs, ys, y_sorted, new_x  # the merge below is the peak of memory
-    c -= 2 * _discordant(ranks)
+    c -= np.bincount(ranks)[ranks]
     out = np.empty(n, dtype=np.int64)
     out[order] = c
     return out

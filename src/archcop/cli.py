@@ -13,6 +13,7 @@ import argparse
 import itertools
 import os
 import sys
+import warnings
 from functools import partial
 
 import numpy as np
@@ -126,37 +127,64 @@ def _cmd_check(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _parse_text(lines: list[str]) -> np.ndarray | None:
+    """A block's pairs in one numpy call, or None for the line loop: when a
+    line (bar a leading ``u,`` header) has not one comma, or numpy reads
+    other than two values in [0, 1] per line (a blank field reads -1)."""
+    body = lines[1:] if lines[0].startswith("u,") else lines
+    if not all(line.count(",") == 1 for line in body):
+        return None
+    text = "".join(body).removesuffix("\n").replace("\n", ",")
+    try:
+        with warnings.catch_warnings():  # numpy < 2 warns where numpy 2 raises
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text, sep=",").reshape(len(body), 2)
+    except (ValueError, DeprecationWarning):
+        return None
+    return values if ((values >= 0.0) & (values <= 1.0)).all() else None
+
+
+def _parse_lines(lines: list[str], first: int):
+    """A block's pairs parsed by ``float()``, and the line number and pair
+    of its first pair outside [0, 1] (or None); ``lines[0]`` is line ``first``."""
+    values, numbers = [], []  # the block's numbers and each row's input line
+    for number, line in enumerate(lines, first):
+        line = line.strip()
+        if not line or line.startswith("u,"):
+            continue
+        try:
+            u, v = line.split(",")
+            values += float(u), float(v)
+        except ValueError:
+            raise DomainError(
+                f"line {number}: expected two comma-separated numbers, got {line!r}"
+            ) from None
+        numbers.append(number)
+    block = np.array(values).reshape(-1, 2)
+    bad = np.flatnonzero(~((block >= 0.0) & (block <= 1.0)).all(axis=1))
+    return block, (numbers[bad[0]], tuple(block[bad[0]].tolist())) if bad.size else None
+
+
 def _read_pairs(stream) -> np.ndarray:
     """Parse ``u,v`` lines into an (n, 2) array with entries in [0, 1].
 
     Blank lines and a ``u,...`` header are skipped; any other line that is
     not two comma-separated numbers, or a pair outside [0, 1], raises
     ``DomainError`` naming its line number.  A malformed line anywhere is
-    reported before any pair outside [0, 1].  The lines are parsed
-    ``BLOCK`` at a time into float64 blocks.
+    reported before any pair outside [0, 1].  The lines are read ``BLOCK``
+    at a time; ``_parse_lines`` decides every block ``_parse_text`` refuses.
     """
     blocks = []
     outside = None  # the line number and pair of the first pair outside [0, 1]
-    lines = enumerate(stream, 1)
-    while chunk := list(itertools.islice(lines, BLOCK)):
-        values, numbers = [], []  # the block's numbers and each row's input line
-        for number, line in chunk:
-            line = line.strip()
-            if not line or line.startswith("u,"):
-                continue
-            try:
-                u, v = line.split(",")
-                values += float(u), float(v)
-            except ValueError:
-                raise DomainError(
-                    f"line {number}: expected two comma-separated numbers, got {line!r}"
-                ) from None
-            numbers.append(number)
-        block = np.array(values).reshape(-1, 2)
-        bad = np.flatnonzero(~((block >= 0.0) & (block <= 1.0)).all(axis=1))
-        if outside is None and bad.size:
-            outside = numbers[bad[0]], tuple(block[bad[0]].tolist())
+    first = 1  # the line number of the block's first line
+    while lines := list(itertools.islice(stream, BLOCK)):
+        block = _parse_text(lines)
+        if block is None:
+            block, block_outside = _parse_lines(lines, first)
+            outside = outside or block_outside
         blocks.append(block)
+        first += len(lines)
+        del lines  # before the next block's lines are read
     pairs = np.concatenate(blocks or [np.empty((0, 2))])
     if not len(pairs):
         raise DomainError("no pairs on standard input")

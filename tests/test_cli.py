@@ -142,9 +142,13 @@ class TestCheck:
 
 number_text = st.one_of(
     st.floats(min_value=0.0, max_value=1.0).map(repr),
-    # what float() reads besides repr's text, in range or not
+    # what float() reads besides repr's text, in range or not, and texts
+    # where numpy's parser and float() disagree or round
     st.sampled_from([" 0.5", "0.25 ", "+0.25", "5E-1", "1", "0", "-0.0", "0_5", "nan",
-                     "-inf", "1e5", "-1e-300", "1.0000000000000002"]),
+                     "-inf", "1e5", "-1e-300", "1.0000000000000002", "nan(1)", "infinity",
+                     "1e-400", "\u0660.\u0665", "0.5 ", "\xa00.5", "1d0", ".5", "5.", " "]),
+    # 20 to 25 significant digits, which both must round to the same double
+    st.from_regex(r"0\.[0-9]{20,25}", fullmatch=True),
 )
 stdin_line = st.one_of(
     st.tuples(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
@@ -199,12 +203,13 @@ class TestTau:
         assert err.startswith(f"error: line {line}: ")
         assert err.count("\n") == 1
 
-    @given(lines=st.lists(stdin_line, max_size=40), end=st.sampled_from(["\n", ""]))
+    @given(lines=st.lists(stdin_line, max_size=40), eol=st.sampled_from(["\n", "\r\n"]),
+           end=st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_stdin_blocks_match_line_loop(self, lines, end):
+    def test_stdin_blocks_match_line_loop(self, lines, eol, end):
         # 7-line blocks put blank, header, malformed and out-of-range lines
-        # on either side of many seams
-        text = "\n".join(lines) + end
+        # on either side of many seams, and clean blocks between them
+        text = eol.join(lines) + eol * end
         outcomes = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "BLOCK", 7)
@@ -215,6 +220,18 @@ class TestTau:
                 except DomainError as exc:
                     outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
+
+    def test_clean_stdin_is_parsed_without_the_line_loop(self, monkeypatch):
+        # a header and 6000 clean pairs: two blocks, each in one numpy call
+        rng = np.random.default_rng(3)
+        pairs = rng.random((6000, 2))
+        text = "u,v\n" + "".join(f"{u!r},{v!r}\n" for u, v in pairs.tolist())
+
+        def line_loop(lines, first):
+            raise AssertionError(f"block at line {first} went through the line loop")
+
+        monkeypatch.setattr(cli, "_parse_lines", line_loop)
+        assert cli._read_pairs(io.StringIO(text)).tobytes() == pairs.tobytes()
 
     def test_mc_empty_stdin_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("u,v\n\n"))

@@ -242,6 +242,13 @@ class TestConcordanceKernel:
             x, y = np.round(x, 1), np.round(y, 1)
         elif kind == "constant":
             x = np.full(n, 0.25)
+        elif kind == "ties_x":
+            x = np.round(x, 1)
+        elif kind == "ties_y":
+            y = np.round(y, 1)
+        elif kind == "signed_zeros":  # 0.0 and -0.0 are one value, in x and in y
+            x, y = (np.where(a < 0.3, np.where(rng.random(n) < 0.5, 0.0, -0.0), a)
+                    for a in (x, y))
         elif kind == "duplicates":
             half = (n + 1) // 2
             x, y = np.repeat(x[:half], 2)[:n], np.repeat(y[:half], 2)[:n]
@@ -249,7 +256,8 @@ class TestConcordanceKernel:
             x, y = x[order], y[order]
         return x, y
 
-    @pytest.mark.parametrize("kind", ["continuous", "ties", "constant", "duplicates"])
+    @pytest.mark.parametrize("kind", ["continuous", "ties", "ties_x", "ties_y", "signed_zeros",
+                                      "constant", "duplicates"])
     @pytest.mark.parametrize("n", [2, 3, 10, 255, 256, 257, 1000, 3001])
     def test_matches_bruteforce(self, n, kind):
         x, y = self._data(kind, n, np.random.default_rng(n))

@@ -16,8 +16,8 @@ every method and sample by both methods, at sizes on either side of the
 samplers' block; eval outside the domain (u at -0.1, 1.5 and nan, each
 family's parameter just outside each end of its interval and at nan and
 +-inf, and a parameter flag the family does not take); ``tau --method mc``
-on stdin fixtures whose fault lies past the stdin reader's first block;
-and every command ``perfbench/run.py`` issues at seeds 1 and 2 (a
+on stdin fixtures whose fault or layout lies past the stdin reader's first
+block; and every command ``perfbench/run.py`` issues at seeds 1 and 2 (a
 ``sample | tau`` pipe feeds the first command's stdout to the second).
 
 A line is printed for each command whose stdout, stderr, exit code or
@@ -103,11 +103,12 @@ def fixed_commands(work: Path):
 
 
 def stdin_fixtures():
-    """(label, stdin bytes) of ``tau --method mc`` inputs of 6000 pairs that
-    go wrong, or have lines to skip, past the stdin reader's first block
-    of 4096 lines."""
+    """(label, stdin bytes) of ``tau --method mc`` inputs of 9000 pairs that
+    go wrong, have lines to skip or are laid out otherwise past the stdin
+    reader's first block of 4096 lines, where blocks its numpy parse takes
+    meet blocks its line loop takes."""
     lines = ["u,v"] + [f"{k * 0.6180339887498949 % 1.0!r},{k * 0.7548776662466927 % 1.0!r}"
-                       for k in range(1, 6001)]
+                       for k in range(1, 9001)]
     edits = {  # line index -> its text; index i is line i + 1
         "valid": {},
         "blank and header lines 5002-5003": {5001: "", 5002: "u,v"},
@@ -116,9 +117,17 @@ def stdin_fixtures():
         "NaN line 6001": {6000: "nan,0.5"},
         # a malformed line anywhere is reported before a pair outside [0, 1]
         "out-of-range line 3, malformed line 5002": {2: "-0.1,0.5", 5001: "0.5"},
+        # float() reads 0_5 as 5.0, numpy not at all
+        "0_5 on line 5002": {5001: "0_5,0.5"},
+        "header only on line 4097": {0: "0.5,0.5", 4096: "u,v"},
+        "blank line 9000, in the third block": {8999: ""},
     }
     for label, edit in edits.items():
         yield label, "".join(f"{edit.get(i, line)}\n" for i, line in enumerate(lines)).encode()
+    padded = lines[:1] + [" {} ,\t{} ".format(*line.split(",")) for line in lines[1:]]
+    yield "CRLF line ends", "".join(f"{line}\r\n" for line in lines).encode()
+    yield "no final newline", "\n".join(lines).encode()
+    yield "whitespace-padded fields", "".join(f"{line}\n" for line in padded).encode()
 
 
 def perfbench_commands(work: Path):
