@@ -19,16 +19,11 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .copula import cdf, density
-from .diagnostics import (
-    grid_validity_report,
-    kendall_tau_closed,
-    kendall_tau_mc,
-    kendall_tau_quadrature,
-)
 from .families import (BLOCK, FAMILIES, TABLE, ConvergenceError, DomainError, Frailty,
-                       check_param, phi)
-from .sampling import CONDITIONAL, FRAILTY, sample_conditional, sample_frailty_copula
+                       check_param, generator, phi)
+
+# Each command imports the modules it calls, so that a process loads (and,
+# with no bytecode written, compiles) only those; the parser needs ``families``.
 
 
 def _resolve_param(args) -> float | None:
@@ -85,6 +80,8 @@ def _write_out(out_path: str | None, write) -> None:
 
 
 def _cmd_eval(args) -> int:
+    from .copula import cdf, density
+
     param = _resolve_param(args)
     c_val = cdf(args.family, param, args.u, args.v)
     print(f"C={float(c_val)!r}")
@@ -109,18 +106,24 @@ def _cmd_grid(args) -> int:
 
         text = csvtext.table("z,phi", blocks())
     else:
+        g = generator(args.family, param)  # checked once, and the axis lies in the square
         if args.what == "cdf":
+            from .copula import _cdf
+
             pts = np.linspace(0.0, 1.0, n + 1)
-            fn = cdf
+            fn = partial(_cdf, g)
         else:  # pdf, interior midpoints only
             pts = (np.arange(n) + 0.5) / n
-            fn = density
-        text = csvtext.lattice("u,v,value", pts, partial(fn, args.family, param))
+            fn = g.density
+        # a row is one call of the kind on its interior points
+        text = csvtext.lattice("u,v,value", pts, lambda u, v: fn(np.broadcast_to(u, v.shape), v))
     _write_out(args.out, lambda out: out.writelines(text))
     return 0
 
 
 def _cmd_check(args) -> int:
+    from .diagnostics import grid_validity_report
+
     param = _resolve_param(args)
     report = grid_validity_report(args.family, param, args.grid_n)
     print(report.to_json())
@@ -194,6 +197,8 @@ def _read_pairs(stream) -> np.ndarray:
 
 
 def _cmd_tau(args) -> int:
+    from . import diagnostics
+
     if args.method == "mc":
         if args.family is None:
             pairs = _read_pairs(sys.stdin)
@@ -201,23 +206,27 @@ def _cmd_tau(args) -> int:
             param = _resolve_param(args)
             if args.n is None or args.seed is None:
                 raise DomainError("--method mc with --family requires --n and --seed")
+            from .sampling import sample_conditional
+
             pairs = sample_conditional(args.family, param, args.n, args.seed).pairs
-        est = kendall_tau_mc(pairs)
+        est = diagnostics.kendall_tau_mc(pairs)
     else:
         if args.family is None:
             raise DomainError("--family is required for this method")
         param = _resolve_param(args)
         if args.method == "closed":
-            est = kendall_tau_closed(args.family, param)
+            est = diagnostics.kendall_tau_closed(args.family, param)
         else:
-            est = kendall_tau_quadrature(args.family, param)
+            est = diagnostics.kendall_tau_quadrature(args.family, param)
     print(est.to_json())
     return 0
 
 
 def _cmd_sample(args) -> int:
+    from .sampling import sample_conditional, sample_frailty_copula
+
     param = _resolve_param(args)
-    if args.method == FRAILTY:
+    if args.method == "frailty":
         if TABLE[args.family].kind is not Frailty:
             raise DomainError("--method frailty is only available for family f3")
         batch = sample_frailty_copula(param, args.n, args.seed)
@@ -264,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--method", choices=[CONDITIONAL, FRAILTY], default=CONDITIONAL)
+    p.add_argument("--method", choices=["conditional", "frailty"], default="conditional")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_sample)
 

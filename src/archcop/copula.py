@@ -28,6 +28,15 @@ def _broadcast_unit(u, v, u_domain="[0,1]", v_domain="[0,1]"):
     return uu, vv, su and sv
 
 
+def _cdf(g, uu, vv):
+    """``cdf`` at checked points of one shape, by the kind ``g`` inside."""
+    out = np.minimum(uu, vv)
+    out += 0.0  # -0.0 prints as 0.0
+    m = (0.0 < uu) & (uu < 1.0) & (0.0 < vv) & (vv < 1.0)
+    out[m] = g.cdf(uu[m], vv[m])
+    return out
+
+
 def cdf(family: str, param: float | None, u, v):
     """Copula value C(u, v); symmetric in its arguments.
 
@@ -37,11 +46,7 @@ def cdf(family: str, param: float | None, u, v):
     """
     g = generator(family, param)
     uu, vv, scalar = _broadcast_unit(u, v)
-    out = np.minimum(uu, vv)
-    out += 0.0  # -0.0 prints as 0.0
-    m = (0.0 < uu) & (uu < 1.0) & (0.0 < vv) & (vv < 1.0)
-    out[m] = g.cdf(uu[m], vv[m])
-    return _ret(out, scalar)
+    return _ret(_cdf(g, uu, vv), scalar)
 
 
 def partial_u(family: str, param: float | None, u, v):

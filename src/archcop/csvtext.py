@@ -144,8 +144,8 @@ def _decimal(a):
     off = np.floor(t / _STEPS + 0.5) * _STEPS
     d = np.abs(t - off)  # distances from y to the candidates
     sure &= ((np.abs(d - h) >= _MARGIN) & (np.abs(d - 0.5 * _STEPS) >= _MARGIN)).all(axis=0)
-    first = np.argmax(d < h, axis=0)  # the nearest integer is always inside
-    m = 100 * q + off[first, np.arange(len(t))].astype(np.int64)
+    inside = d < h  # the first candidate inside; the nearest integer always is
+    m = 100 * q + np.where(inside[0], off[0], np.where(inside[1], off[1], off[2])).astype(np.int64)
     carry = m == 10**17  # rounded up to the next decade
     m[carry] = 10**16
     j += carry
@@ -178,9 +178,9 @@ def _fill(x, buf, mask):
     key = ((x < 0) * _DECADES + j) * 17 + (_write_digits(m, buf) - 1)
     rest = np.flatnonzero(~sure)
     if rest.size:  # repr's own text, written from column 6
-        text = np.array([repr(v) for v in x[rest].tolist()], dtype="S24")
-        buf[rest, 6:30] = text.view(np.uint8).reshape(-1, 24)
-        key[rest] = _KEYS + np.char.str_len(text)
+        text = np.array([repr(v) for v in x[rest].tolist()], "S24").view(np.uint8).reshape(-1, 24)
+        buf[rest, 6:30] = text
+        key[rest] = _KEYS + (text != 0).sum(axis=1)  # their lengths, as NULs pad them
     np.take(_tables().keep, key, axis=0, out=mask, mode="clip")
 
 
@@ -220,12 +220,19 @@ def table(header: str, blocks):
 def lattice(header: str, pts, fn):
     """The header, then the rows ``u,v,fn(u, pts)`` for each ``u`` of
     ``pts``: one call of ``fn`` per lattice row, each row's text made
-    before the next call.  The ``u`` and ``v`` columns are formatted
-    once."""
+    before the next call.  The text of ``pts`` is made once, packed to
+    its longest value; a row formats and packs only its values."""
     yield header + "\n"
-    buf, mask = _canvas(len(pts), 3)
-    _fill(pts, buf[:, 1], mask[:, 1])
+    n = len(pts)
+    # the texts of pts, padded with NULs; the canvas that made them is freed
+    texts = np.array(_rows(*_canvas(n, 1), pts[:, None]).split(), "S")
+    w = texts.itemsize + 1  # a text and its comma
+    line = np.zeros((n, 2 * w + _SLOT), np.uint8)  # u and v with their commas, a value's slot
+    line[:, w : 2 * w - 1] = texts.view(np.uint8).reshape(n, -1)
+    line[:, 2 * w - 1] = ord(",")
+    line[:, 2 * w :] = np.frombuffer(_TEMPLATE[:-1] + b"\n", np.uint8)
+    keep = line != 0
     for i, u in enumerate(pts.tolist()):
-        buf[:, 0], mask[:, 0] = buf[i, 1], mask[i, 1]
-        _fill(fn(u, pts), buf[:, 2], mask[:, 2])
-        yield _text(buf, mask)
+        line[:, :w], keep[:, :w] = line[i, w : 2 * w], keep[i, w : 2 * w]
+        _fill(fn(u, pts), line[:, 2 * w :], keep[:, 2 * w :])
+        yield _text(line, keep)

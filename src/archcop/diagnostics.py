@@ -27,7 +27,6 @@ from .families import (
     check_param,
     generator,
 )
-from .numerics import adaptive_quad
 
 # Tolerances used by the lattice audit.
 BOUNDARY_TOL = 1e-12
@@ -149,6 +148,8 @@ def kendall_tau_quadrature(
     family: str, param: float | None, abs_tol: float = 1e-9
 ) -> TauEstimate:
     """Kendall tau from tau = 1 + 4 * int_0^1 phi(u)/phi'(u) du."""
+    from .numerics import adaptive_quad  # here, so that only this function loads it
+
     gen = generator(family, param)
     if abs_tol < 1e-12:
         raise DomainError("abs_tol must be >= 1e-12")

@@ -42,9 +42,6 @@ from .families import BLOCK, DomainError, F3, Frailty, check_param, generator
 
 _EPS = 1e-15
 
-CONDITIONAL = "conditional"
-FRAILTY = "frailty"
-
 
 class SampleBatch:
     """n pairs, every coordinate strictly inside (0, 1), kept as their

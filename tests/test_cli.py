@@ -1,5 +1,6 @@
 """Command-line interface contracts: formats, exit codes, determinism."""
 
+import importlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import archcop
 from archcop import cli, families, sampling
 from archcop.cli import main
 from archcop.families import DomainError
@@ -331,6 +333,63 @@ class TestNoNumpyRandom:
         assert (done.returncode, done.stderr) == (0, "False\n")
 
 
+class TestModulesLoaded:
+    """``import archcop`` loads none of its modules, and each command only
+    those it calls.  The CLI module itself runs as ``__main__``."""
+
+    AT_EXIT = ("import atexit, sys\n"
+               "atexit.register(lambda: print(*sorted(m for m in sys.modules\n"
+               "                                      if m.split('.')[0] == 'archcop'),\n"
+               "                              file=sys.stderr))\n")
+    CLI = AT_EXIT + "import runpy\nrunpy.run_module('archcop.cli', run_name='__main__')\n"
+    F1 = ["--family", "f1", "--alpha", "0.5"]
+
+    @pytest.mark.parametrize("argv,stdin,modules", [
+        (["eval", *F1, "--u", "0.3", "--v", "0.7"], "", "copula"),
+        (["grid", *F1, "--what", "cdf", "--grid-n", "4"], "", "copula csvtext"),
+        (["grid", *F1, "--what", "pdf", "--grid-n", "4"], "", "csvtext"),
+        (["grid", *F1, "--what", "generator", "--grid-n", "4"], "", "csvtext"),
+        (["check", *F1, "--grid-n", "10"], "", "_backend copula diagnostics"),
+        (["tau", *F1, "--method", "closed"], "", "_backend copula diagnostics"),
+        (["tau", *F1, "--method", "quadrature"], "", "_backend copula diagnostics numerics"),
+        (["tau", "--method", "mc"], "u,v\n0.1,0.2\n0.3,0.5\n0.6,0.4\n",
+         "_backend copula diagnostics"),
+        (["tau", *F1, "--method", "mc", "--n", "50", "--seed", "1"], "",
+         "_backend copula diagnostics sampling"),
+        (["sample", *F1, "--n", "50", "--seed", "1"], "", "csvtext sampling"),
+        (["sample", "--family", "f3", "--alpha", "1", "--n", "50", "--seed", "1",
+          "--method", "frailty"], "", "csvtext sampling"),
+        (["--help"], "", ""),
+    ])
+    def test_command_loads_only_its_modules(self, argv, stdin, modules):
+        done = subprocess.run([sys.executable, "-c", self.CLI, *argv], input=stdin,
+                              capture_output=True, text=True)
+        assert done.returncode == 0
+        loaded = ["archcop", "archcop.families", *(f"archcop.{m}" for m in modules.split())]
+        assert done.stderr.split() == sorted(loaded)
+
+    def test_import_loads_no_module(self):
+        done = subprocess.run([sys.executable, "-c", self.AT_EXIT + "import archcop\n"],
+                              capture_output=True, text=True, check=True)
+        assert done.stderr.split() == ["archcop"]
+
+    def test_each_name_is_its_home_modules_object(self):
+        star = {}
+        exec("from archcop import *", star)
+        assert set(star) - {"__builtins__"} == set(archcop.__all__)
+        for name in archcop.__all__:
+            home = importlib.import_module(f"archcop.{archcop._HOME[name]}")
+            assert getattr(archcop, name) is star[name] is getattr(home, name)
+
+    def test_dir_and_unknown_names(self):
+        assert set(archcop.__all__) <= set(dir(archcop))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            archcop.no_such_name  # noqa: B018
+        from archcop import _backend  # not in __all__: the submodule
+
+        assert _backend.__name__ == "archcop._backend"
+
+
 class TestBoundaryErrors:
     """Bad seeds and unwritable --out paths are usage errors: exit 2 and
     one stderr line, never a traceback."""
@@ -373,13 +432,16 @@ class TestCsvWriter:
     file behind."""
 
     @pytest.mark.parametrize("family,flag,param", [("f3", "--alpha", 0.3),
-                                                   ("gumbel", "--theta", 2.5)])
+                                                   ("gumbel", "--theta", 2.5),
+                                                   ("f1", "--alpha", 1e-3),
+                                                   ("f2", "--alpha", 0.6),
+                                                   ("independence", None, None)])
     @pytest.mark.parametrize("what", ["cdf", "pdf", "generator"])
-    @pytest.mark.parametrize("n", [2, 3, 37])
+    @pytest.mark.parametrize("n", [2, 3, 37, 7])
     def test_grid_matches_reference(self, capsys, monkeypatch, tmp_path,
                                     family, flag, param, what, n):
-        argv = ["grid", "--family", family, flag, repr(param), "--what", what,
-                "--grid-n", str(n)]
+        argv = ["grid", "--family", family, *([flag, repr(param)] if flag else []),
+                "--what", what, "--grid-n", str(n)]
         expected = grid_csv_loops(family, param, what, n)
         f = tmp_path / "grid.csv"
         assert run_cli(capsys, *argv, "--out", str(f)) == (0, "", "")
@@ -391,6 +453,22 @@ class TestCsvWriter:
         side = n if what == "pdf" else n + 1
         rows = [n] if what == "generator" else [side] * side
         assert stdout.lines == [1] + rows
+
+    @pytest.mark.parametrize("family,param", [("f3", 2.0), ("gumbel", 2.5)])
+    def test_1000_cdf_rows_match_scalar_cdf(self, monkeypatch, family, param):
+        # the rows u = 0, 0.001 and 1 of a 1000**2 lattice, value by value
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        flag = "--theta" if family == "gumbel" else "--alpha"
+        assert main(["grid", "--family", family, flag, repr(param), "--what", "cdf",
+                     "--grid-n", "1000"]) == 0
+        lines = stdout.getvalue().split("\n")
+        assert lines[0] == "u,v,value" and lines[-1] == "" and len(lines) == 1001**2 + 2
+        pts = np.linspace(0.0, 1.0, 1001).tolist()
+        for i in (0, 1, 1000):
+            u = pts[i]
+            want = [f"{u!r},{v!r},{archcop.cdf(family, param, u, v)!r}" for v in pts]
+            assert lines[1 + 1001 * i : 1 + 1001 * (i + 1)] == want
 
     @pytest.mark.parametrize("family,flag,param", [("f3", "--alpha", 0.3),
                                                    ("gumbel", "--theta", 2.5)])

@@ -104,6 +104,26 @@ def test_seeded_sweep():
     assert got == want
 
 
+def test_decade_range_and_power_of_two_boundaries():
+    # within a few ulps of each power of ten (where a value just below it
+    # rounds up into the next decade, and where repr's exponent form
+    # starts: 1e-4 and 1e16) and of powers of two (whose rounding
+    # interval is narrower below than above), each value as repr gives it
+    edges = [float(f"1e{k}") for k in range(-6, 19)] + [2.0**e for e in range(-16, 56)]
+    values = []
+    for edge in edges:
+        for direction in (0.0, np.inf):
+            x = edge
+            for _ in range(5):
+                x = np.nextafter(x, direction)
+                values.append(x)
+        values.append(edge)
+    values += [9.999999999999999e-5, 9.9999999999999995e-5, 0.9999999999999999,
+               9.999999999999998, 99.99999999999999, 9999999999999998.0, 1e16 - 2.0]
+    assert_reprs(values)
+    assert_reprs([-v for v in values])
+
+
 def test_sample_and_pdf_rows_take_the_fast_path(monkeypatch):
     calls = count_fallbacks(monkeypatch)
     batch = ac.sample_conditional("f1", 0.5, 20_000, 1)

@@ -8,9 +8,12 @@ A_SRC and B_SRC are ``src`` directories, each holding ``archcop/``.  Each
 command of a fixed list runs once under each tree, as
 ``python -m archcop.cli ...`` with that tree on PYTHONPATH and no bytecode
 written, from one scratch directory, so both runs get the same argv.  The
-list covers, for every family at ordinary and extreme parameters: eval
-inside the unit square and on its edge (0, -0.0, 1, 1e-310), small cdf,
-pdf and generator grids, generator grids on either side of their block,
+list covers the help texts of the command and of each subcommand,
+``--version``, a ``grid`` with no ``--family`` and a 1000**2 cdf grid
+written to standard output; for every family at ordinary and extreme
+parameters: eval inside the unit square and on its edge (0, -0.0, 1,
+1e-310), small cdf, pdf and generator grids, cdf and pdf grids whose axis
+texts differ in length, generator grids on either side of their block,
 check on a small lattice and on one that ends in a partial strip, tau by
 every method and sample by both methods, at sizes on either side of the
 samplers' block; eval outside the domain (u at -0.1, 1.5 and nan, each
@@ -30,13 +33,13 @@ differs: some differences are intended, and the list is for a reader to judge.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import re
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from trees import run_tree
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,6 +71,13 @@ def family_args(family, param):
 def fixed_commands(work: Path):
     """(upstream argv or None, argv, --out path or None) of the fixed list."""
     out = str(work / "out.csv")
+    # the parser's help texts and version, and a usage error
+    for argv in ([], *([command] for command in ("eval", "grid", "check", "tau", "sample"))):
+        yield None, [*argv, "--help"], None
+    yield None, ["--version"], None
+    yield None, ["grid", "--what", "cdf", "--grid-n", "4"], None
+    # a 1000**2 lattice, written to standard output
+    yield None, ["grid", "--family", "f3", "--alpha", "2", "--what", "cdf", "--grid-n", "1000"], None
     for fixture in stdin_fixtures():
         yield fixture, ["tau", "--method", "mc"], None
     # "--flag=value", as argparse takes a separate "-5e-324" for an option
@@ -85,6 +95,11 @@ def fixed_commands(work: Path):
             yield None, ["eval", *fam, "--u", u, "--v", v], None
         for what in ("cdf", "pdf", "generator"):
             yield None, ["grid", *fam, "--what", what, "--grid-n", "4", "--out", out], out
+        # axis texts of up to 19 characters next to 0.0 and 1.0 (1/3, 1/6, 1/7)
+        for what in ("cdf", "pdf"):
+            for grid_n in ("3", "7"):
+                yield None, ["grid", *fam, "--what", what, "--grid-n", grid_n,
+                             "--out", out], out
         # around the generator grid's block of 4096 rows
         for grid_n in ("4095", "4096", "4097", "8193"):
             yield None, ["grid", *fam, "--what", "generator", "--grid-n", grid_n,
@@ -142,14 +157,12 @@ def perfbench_commands(work: Path):
 
 
 def run_cli(src: Path, argv, stdin: bytes, work: Path):
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    p = subprocess.run([sys.executable, "-m", "archcop.cli", *argv], input=stdin,
-                       capture_output=True, cwd=work, env=env, timeout=300)
+    p = run_tree(src, argv, stdin, cwd=work)
     stderr = p.stderr.decode(errors="replace").replace(str(src), "SRC")
     # source line numbers, as warnings and tracebacks print them; archcop's
     # own "line N:" errors stay
     stderr = re.sub(r"\.py:\d+", ".py:N", re.sub(r'(File "[^"]*", line )\d+', r"\1N", stderr))
-    return p.returncode, p.stdout, stderr
+    return p.exit, p.stdout, stderr
 
 
 def outcome(src: Path, upstream, argv, out_file, work: Path) -> dict:
