@@ -13,9 +13,9 @@ _HOME = {name: module for module, names in {
     "copula": "cdf density partial_u",
     "diagnostics": "TauEstimate ValidityReport grid_validity_report kendall_tau_closed "
                    "kendall_tau_mc kendall_tau_quadrature singularity_limit",
-    "families": "F1 F2 F3 FAMILIES GUMBEL INDEPENDENCE ConditionReport ConvergenceError "
-                "DomainError check_generator_conditions check_param phi phi_double_prime "
-                "phi_prime psi psi_double_prime psi_prime",
+    "families": "F1 F2 F3 FAMILIES GUMBEL INDEPENDENCE ConvergenceError DomainError check_param",
+    "generators": "ConditionReport check_generator_conditions phi phi_double_prime phi_prime "
+                  "psi psi_double_prime psi_prime",
     "sampling": "SampleBatch sample_conditional sample_frailty_copula",
 }.items() for name in names.split()}
 

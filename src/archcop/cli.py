@@ -10,6 +10,7 @@ shortest round-trip decimals.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import os
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .families import (BLOCK, FAMILIES, TABLE, ConvergenceError, DomainError, Frailty,
-                       check_param, generator, phi)
+                       check_param, generator)
 
 # Each command imports the modules it calls, so that a process loads (and,
 # with no bytecode written, compiles) only those; the parser needs ``families``.
@@ -99,6 +100,8 @@ def _cmd_grid(args) -> int:
     from . import csvtext  # only the commands that write CSV load it
 
     if args.what == "generator":
+        from .families import phi  # loads ``generators``
+
         def blocks():
             for i in range(0, n, BLOCK):
                 z = (np.arange(i, min(i + BLOCK, n)) + 0.5) / n
@@ -303,5 +306,12 @@ def main(argv=None) -> int:
         return 128 + 13  # 141, as a shell reports a writer killed by SIGPIPE
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """``python -m archcop.cli`` and the ``archcop`` script: ``gc.freeze()``
+    spares the collections at exit the objects that the imports made."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -12,21 +12,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._backend import concordance_diff
 from .copula import cdf
-from .families import (
-    BLOCK,
-    TABLE,
-    ConditionReport,
-    ConvergenceError,
-    DomainError,
-    check_generator_conditions,
-    check_param,
-    generator,
-)
+from .families import BLOCK, TABLE, ConvergenceError, DomainError, check_param, generator
+
+if TYPE_CHECKING:
+    from .generators import ConditionReport
 
 # Tolerances used by the lattice audit.
 BOUNDARY_TOL = 1e-12
@@ -79,6 +74,8 @@ def grid_validity_report(family: str, param: float | None, grid_n: int = 100) ->
     lies in exactly one strip; the maxima and minima folded across strips
     are those of the whole lattice.
     """
+    from .families import check_generator_conditions  # loads ``generators``
+
     gen = generator(family, param)
     if grid_n < 3:
         raise DomainError("grid_n must be >= 3")

@@ -1,5 +1,6 @@
 """Command-line interface contracts: formats, exit codes, determinism."""
 
+import gc
 import importlib
 import io
 import json
@@ -348,8 +349,8 @@ class TestModulesLoaded:
         (["eval", *F1, "--u", "0.3", "--v", "0.7"], "", "copula"),
         (["grid", *F1, "--what", "cdf", "--grid-n", "4"], "", "copula csvtext"),
         (["grid", *F1, "--what", "pdf", "--grid-n", "4"], "", "csvtext"),
-        (["grid", *F1, "--what", "generator", "--grid-n", "4"], "", "csvtext"),
-        (["check", *F1, "--grid-n", "10"], "", "_backend copula diagnostics"),
+        (["grid", *F1, "--what", "generator", "--grid-n", "4"], "", "csvtext generators"),
+        (["check", *F1, "--grid-n", "10"], "", "_backend copula diagnostics generators"),
         (["tau", *F1, "--method", "closed"], "", "_backend copula diagnostics"),
         (["tau", *F1, "--method", "quadrature"], "", "_backend copula diagnostics numerics"),
         (["tau", "--method", "mc"], "u,v\n0.1,0.2\n0.3,0.5\n0.6,0.4\n",
@@ -388,6 +389,38 @@ class TestModulesLoaded:
         from archcop import _backend  # not in __all__: the submodule
 
         assert _backend.__name__ == "archcop._backend"
+
+    def test_moved_names_resolve_through_families(self):
+        from archcop import generators
+
+        moved = ("phi phi_prime phi_double_prime psi psi_prime psi_double_prime "
+                 "generator_ratio _derivative _t_strict ConditionReport _argmax_signed "
+                 "check_generator_conditions").split()
+        for name in moved:
+            assert getattr(families, name) is getattr(generators, name)
+            if name in archcop.__all__:
+                assert getattr(archcop, name) is getattr(generators, name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            families.no_such_name  # noqa: B018
+
+
+class TestEntry:
+    """The program freezes the objects its imports made before it runs the
+    command; ``main`` called in a process does not."""
+
+    def test_program_freezes_and_main_does_not(self, capsys):
+        at_exit = ("import atexit, gc, sys\n"
+                   "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+                   "import runpy\nrunpy.run_module('archcop.cli', run_name='__main__')\n")
+        argv = ["eval", "--family", "f1", "--alpha", "0.5", "--u", "0.3", "--v", "0.7"]
+        done = subprocess.run([sys.executable, "-c", at_exit, *argv],
+                              capture_output=True, text=True)
+        assert done.returncode == 0
+        assert int(done.stderr) > 0
+        before = gc.get_freeze_count()
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == before
+        assert capsys.readouterr().out == done.stdout
 
 
 class TestBoundaryErrors:
