@@ -19,38 +19,7 @@ _HOME = {name: module for module, names in {
     "sampling": "SampleBatch sample_conditional sample_frailty_copula",
 }.items() for name in names.split()}
 
-__all__ = [
-    "FAMILIES",
-    "F1",
-    "F2",
-    "F3",
-    "GUMBEL",
-    "INDEPENDENCE",
-    "DomainError",
-    "ConvergenceError",
-    "ConditionReport",
-    "SampleBatch",
-    "TauEstimate",
-    "ValidityReport",
-    "cdf",
-    "check_generator_conditions",
-    "check_param",
-    "density",
-    "grid_validity_report",
-    "kendall_tau_closed",
-    "kendall_tau_mc",
-    "kendall_tau_quadrature",
-    "partial_u",
-    "phi",
-    "phi_double_prime",
-    "phi_prime",
-    "psi",
-    "psi_double_prime",
-    "psi_prime",
-    "sample_conditional",
-    "sample_frailty_copula",
-    "singularity_limit",
-]
+__all__ = [*_HOME]
 
 
 def __getattr__(name):

@@ -99,17 +99,16 @@ def _cmd_grid(args) -> int:
         raise DomainError("--grid-n must be >= 2")
     from . import csvtext  # only the commands that write CSV load it
 
+    g = generator(args.family, param)  # checked once; every point below lies in its domain
     if args.what == "generator":
-        from .families import phi  # loads ``generators``
 
-        def blocks():
+        def blocks():  # midpoints inside (0, 1): phi's z = 0 and z = 1 branches never apply
             for i in range(0, n, BLOCK):
                 z = (np.arange(i, min(i + BLOCK, n)) + 0.5) / n
-                yield np.column_stack((z, phi(args.family, param, z)))
+                yield np.column_stack((z, g.phi(z)))
 
         text = csvtext.table("z,phi", blocks())
     else:
-        g = generator(args.family, param)  # checked once, and the axis lies in the square
         if args.what == "cdf":
             from .copula import _cdf
 

@@ -26,7 +26,7 @@ that solves dC/du(u, v) = q for v.
 
 The kind's methods are unchecked formulas for interior points.  The public
 phi, psi and their derivatives, and the audit of the generator conditions,
-live in ``generators``, which only the commands that call them load; their
+live in ``generators``, which only ``check`` and library users load; their
 names still resolve here (``__getattr__``).
 """
 

@@ -1,8 +1,8 @@
 """phi, psi and their derivatives for one family, and the audit of phi's
 conditions.  Each function checks the family, parameter and points once,
 answers z in {0, 1} and t in {0, inf} by exact branches, and calls the
-family's generator kind on interior points.  Only the commands that print
-or audit the generator load this module."""
+family's generator kind on interior points.  Only ``check`` and library
+users load this module."""
 
 from __future__ import annotations
 
@@ -141,7 +141,7 @@ def check_generator_conditions(family: str, param: float | None,
     z2 = float(probes[_argmax_signed(-s2, l2)])
     return ConditionReport(
         family=family, param=param, probe_count=probe_count,
-        zero_at_one=phi(family, param, 1.0) == 0.0, strictly_decreasing=bool(np.all(s1 < 0.0)),
+        zero_at_one=bool(g.phi(1.0) == 0.0), strictly_decreasing=bool(np.all(s1 < 0.0)),
         convex=bool(np.all(s2 > 0.0)), diverges_at_zero=bool(diverges),
         worst_phi_prime=(z1, phi_prime(family, param, z1)),
         worst_phi_double_prime=(z2, phi_double_prime(family, param, z2)))

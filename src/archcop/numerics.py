@@ -116,25 +116,29 @@ def adaptive_quad(
     )
 
 
+# Halvings per bisection before it gives up: 200 take a unit bracket below 1e-60.
+_BISECT_CAP = 200
+
+
 def bisect_monotone_batch(
     g: Callable[[np.ndarray], np.ndarray],
     targets: np.ndarray,
     lo: float,
     hi: float,
     abs_tol: float,
-    max_iter: int = 200,
 ) -> np.ndarray:
     """Vectorised bisection: solve g(x_i) = targets_i elementwise for
     non-decreasing g on [lo, hi].
 
     Halves every bracket at once; terminates when every bracket is
-    narrower than ``abs_tol``.  No library path calls it; the tests use
-    it as the reference for the conditional sampler's Newton inversion.
+    narrower than ``abs_tol``, or raises ``ConvergenceError`` after
+    ``_BISECT_CAP`` halvings.  No library path calls it; the tests use it
+    as the reference for the conditional sampler's Newton inversion.
     """
     t = np.asarray(targets, dtype=float)
     los = np.full_like(t, lo)
     his = np.full_like(t, hi)
-    for _ in range(max_iter):
+    for _ in range(_BISECT_CAP):
         mid = 0.5 * (los + his)
         up = g(mid) < t
         los = np.where(up, mid, los)

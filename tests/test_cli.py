@@ -349,7 +349,7 @@ class TestModulesLoaded:
         (["eval", *F1, "--u", "0.3", "--v", "0.7"], "", "copula"),
         (["grid", *F1, "--what", "cdf", "--grid-n", "4"], "", "copula csvtext"),
         (["grid", *F1, "--what", "pdf", "--grid-n", "4"], "", "csvtext"),
-        (["grid", *F1, "--what", "generator", "--grid-n", "4"], "", "csvtext generators"),
+        (["grid", *F1, "--what", "generator", "--grid-n", "4"], "", "csvtext"),
         (["check", *F1, "--grid-n", "10"], "", "_backend copula diagnostics generators"),
         (["tau", *F1, "--method", "closed"], "", "_backend copula diagnostics"),
         (["tau", *F1, "--method", "quadrature"], "", "_backend copula diagnostics numerics"),

@@ -1,5 +1,6 @@
 """Generator and inverse-generator contracts for all five families."""
 
+import json
 import math
 
 import mpmath
@@ -371,6 +372,18 @@ class TestConditionReport:
     def test_rejects_small_probe_count(self):
         with pytest.raises(ac.DomainError):
             ac.check_generator_conditions("f1", 0.5, 2)
+
+    def test_kind_nonzero_at_one_fails(self, monkeypatch):
+        """phi(1) = 0 is read from the kind, not from the public phi's exact
+        branch at z = 1, so a kind that misses it fails the audit."""
+        from archcop.families import LogPower
+
+        phi = LogPower.phi
+        monkeypatch.setattr(LogPower, "phi", lambda self, z: phi(self, z) + 1e-300)
+        report = ac.check_generator_conditions("gumbel", 2.0, 64)
+        assert report.zero_at_one is False
+        assert report.all_passed is False
+        assert json.loads(json.dumps(report.to_dict()))["zero_at_one"] is False
 
 
 # The domains as the documentation states them, written out here rather than

@@ -26,10 +26,11 @@ from __future__ import annotations
 import argparse
 import os
 import re
-import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+from trees import run_tree
 
 MAX = "1.7976931348623157e308"  # the largest double
 PARAMS = [
@@ -57,9 +58,7 @@ def commands():
 
 def flags(src: Path, argv) -> list[str]:
     """Why the command is flagged under ``src``: empty when it is not."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    p = subprocess.run([sys.executable, "-m", "archcop.cli", *argv],
-                       capture_output=True, env=env, timeout=300)
+    p = run_tree(src, argv)
     why = []
     if b"Traceback (most recent call last)" in p.stderr:
         why.append("traceback")
@@ -67,8 +66,8 @@ def flags(src: Path, argv) -> list[str]:
         why.append("warning")
     if NAN.search(p.stdout):
         why.append("nan")
-    if p.returncode not in (0, 2, 3):
-        why.append(f"exit {p.returncode}")
+    if p.exit not in (0, 2, 3):
+        why.append(f"exit {p.exit}")
     return why
 
 

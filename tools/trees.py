@@ -1,5 +1,5 @@
-"""Run the archcop CLI from a source tree: the runner ``cli_bytes.py`` and
-``ab.py`` share."""
+"""Run the archcop CLI from a source tree: the runner ``cli_bytes.py``,
+``ab.py`` and ``domain_sweep.py`` share."""
 
 from __future__ import annotations
 
