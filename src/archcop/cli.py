@@ -15,7 +15,6 @@ import itertools
 import os
 import sys
 import warnings
-from functools import partial
 
 import numpy as np
 
@@ -108,17 +107,18 @@ def _cmd_grid(args) -> int:
                 yield np.column_stack((z, g.phi(z)))
 
         text = csvtext.table("z,phi", blocks())
-    else:
+    else:  # each coordinate's term once; a row is one composition of them
         if args.what == "cdf":
-            from .copula import _cdf
+            from .copula import _lattice_cdf
 
             pts = np.linspace(0.0, 1.0, n + 1)
-            fn = partial(_cdf, g)
+            terms = g.axis(pts[1:-1])
+            rows = (_lattice_cdf(g, pts, terms, i, i + 1)[0] for i in range(n + 1))
         else:  # pdf, interior midpoints only
             pts = (np.arange(n) + 0.5) / n
-            fn = g.density
-        # a row is one call of the kind on its interior points
-        text = csvtext.lattice("u,v,value", pts, lambda u, v: fn(np.broadcast_to(u, v.shape), v))
+            terms = g.axis(pts)
+            rows = (g.density(terms[..., i : i + 1], terms) for i in range(n))
+        text = csvtext.lattice("u,v,value", pts, rows)
     _write_out(args.out, lambda out: out.writelines(text))
     return 0
 

@@ -9,9 +9,9 @@ All three quantities come from the generator identity
 This module validates the arguments and answers on the edge of the unit
 square by one exact rule, C(u, v) = min(u, v), which is what a grounded
 copula with uniform margins is there.  The family's generator kind (see
-``families``) evaluates each composition on interior points, in forms
-that stay finite where phi, psi and their derivatives leave the double
-range.
+``families``) evaluates each composition on interior points from the
+terms ``axis(u)`` and ``axis(v)`` of its coordinates, in forms that stay
+finite where phi, psi and their derivatives leave the double range.
 """
 
 from __future__ import annotations
@@ -28,12 +28,16 @@ def _broadcast_unit(u, v, u_domain="[0,1]", v_domain="[0,1]"):
     return uu, vv, su and sv
 
 
-def _cdf(g, uu, vv):
-    """``cdf`` at checked points of one shape, by the kind ``g`` inside."""
-    out = np.minimum(uu, vv)
+def _lattice_cdf(g, pts, terms, lo: int, hi: int):
+    """C on rows lo..hi-1 of the lattice ``pts`` x ``pts``, bit for bit as
+    ``cdf`` gives it, from each coordinate's term computed once by the
+    kind ``g``: ``pts`` ascends from 0 to 1 with every other point inside,
+    and ``terms`` is ``g.axis(pts[1:-1])``."""
+    out = np.minimum(pts[lo:hi, None], pts)
     out += 0.0  # -0.0 prints as 0.0
-    m = (0.0 < uu) & (uu < 1.0) & (0.0 < vv) & (vv < 1.0)
-    out[m] = g.cdf(uu[m], vv[m])
+    a, b = max(lo, 1), min(hi, len(pts) - 1)  # the rows inside
+    if a < b:
+        out[a - lo : b - lo, 1:-1] = g.cdf(terms[..., a - 1 : b - 1, None], terms)
     return out
 
 
@@ -46,7 +50,11 @@ def cdf(family: str, param: float | None, u, v):
     """
     g = generator(family, param)
     uu, vv, scalar = _broadcast_unit(u, v)
-    return _ret(_cdf(g, uu, vv), scalar)
+    out = np.minimum(uu, vv)
+    out += 0.0  # -0.0 prints as 0.0
+    m = (0.0 < uu) & (uu < 1.0) & (0.0 < vv) & (vv < 1.0)
+    out[m] = g.cdf(g.axis(uu[m]), g.axis(vv[m]))
+    return _ret(out, scalar)
 
 
 def partial_u(family: str, param: float | None, u, v):
@@ -59,7 +67,7 @@ def partial_u(family: str, param: float | None, u, v):
     uu, vv, scalar = _broadcast_unit(u, v, "(0,1)")
     out = vv + 0.0  # a copy, with -0.0 as 0.0
     m = (0.0 < vv) & (vv < 1.0)
-    out[m] = g.partial_u(uu[m], vv[m])
+    out[m] = g.partial_u(g.axis(uu[m]), g.axis(vv[m]))
     np.clip(out, 0.0, 1.0, out=out)
     return _ret(out, scalar)
 
@@ -68,4 +76,4 @@ def density(family: str, param: float | None, u, v):
     """Copula density c(u, v) at an interior point; non-negative."""
     g = generator(family, param)
     uu, vv, scalar = _broadcast_unit(u, v, "(0,1)", "(0,1)")
-    return _ret(g.density(uu, vv), scalar)
+    return _ret(g.density(g.axis(uu), g.axis(vv)), scalar)

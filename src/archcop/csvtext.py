@@ -217,22 +217,24 @@ def table(header: str, blocks):
         block = next(blocks, None)
 
 
-def lattice(header: str, pts, fn):
-    """The header, then the rows ``u,v,fn(u, pts)`` for each ``u`` of
-    ``pts``: one call of ``fn`` per lattice row, each row's text made
-    before the next call.  The text of ``pts`` is made once, packed to
-    its longest value; a row formats and packs only its values."""
+def lattice(header: str, pts, rows):
+    """The header, then the rows ``u,v,value`` of the lattice ``pts`` x
+    ``pts``, the values of each ``u`` the next array of the iterable
+    ``rows``, made into text before the next is taken.  The text of
+    ``pts`` is made once, packed to its longest value; a row formats only
+    its values, and gets its ``u`` text by one ``str.replace`` at the line
+    ends, as no number's text holds a newline."""
     yield header + "\n"
     n = len(pts)
-    # the texts of pts, padded with NULs; the canvas that made them is freed
-    texts = np.array(_rows(*_canvas(n, 1), pts[:, None]).split(), "S")
+    # the texts of pts; the canvas that made them is freed
+    words = _rows(*_canvas(n, 1), pts[:, None]).split()
+    texts = np.array(words, "S")  # padded with NULs
     w = texts.itemsize + 1  # a text and its comma
-    line = np.zeros((n, 2 * w + _SLOT), np.uint8)  # u and v with their commas, a value's slot
-    line[:, w : 2 * w - 1] = texts.view(np.uint8).reshape(n, -1)
-    line[:, 2 * w - 1] = ord(",")
-    line[:, 2 * w :] = np.frombuffer(_TEMPLATE[:-1] + b"\n", np.uint8)
+    line = np.zeros((n, w + _SLOT), np.uint8)  # v with its comma, a value's slot
+    line[:, : w - 1] = texts.view(np.uint8).reshape(n, -1)
+    line[:, w - 1] = ord(",")
+    line[:, w:] = np.frombuffer(_TEMPLATE[:-1] + b"\n", np.uint8)
     keep = line != 0
-    for i, u in enumerate(pts.tolist()):
-        line[:, :w], keep[:, :w] = line[i, w : 2 * w], keep[i, w : 2 * w]
-        _fill(fn(u, pts), line[:, 2 * w :], keep[:, 2 * w :])
-        yield _text(line, keep)
+    for u, values in zip(words, rows):
+        _fill(values, line[:, w:], keep[:, w:])
+        yield u + "," + _text(line, keep).replace("\n", "\n" + u + ",", n - 1)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._backend import concordance_diff
-from .copula import cdf
+from .copula import _lattice_cdf
 from .families import BLOCK, TABLE, ConvergenceError, DomainError, check_param, generator
 
 if TYPE_CHECKING:
@@ -70,7 +70,8 @@ def grid_validity_report(family: str, param: float | None, grid_n: int = 100) ->
 
     The lattice is evaluated in strips of k + 1 rows, about 2 * ``BLOCK``
     values and at least two rows each, so memory grows with grid_n at
-    most as one row does.  Consecutive strips share a row, so each cell
+    most as one row does; each coordinate's generator term is computed
+    once, for all strips.  Consecutive strips share a row, so each cell
     lies in exactly one strip; the maxima and minima folded across strips
     are those of the whole lattice.
     """
@@ -80,10 +81,11 @@ def grid_validity_report(family: str, param: float | None, grid_n: int = 100) ->
     if grid_n < 3:
         raise DomainError("grid_n must be >= 3")
     g = np.linspace(0.0, 1.0, grid_n + 1)
+    terms = gen.axis(g[1:-1])
     k = max(1, 2 * BLOCK // (grid_n + 1))
     column_0, column_n, vols = [], [], []
     for i in range(0, grid_n, k):
-        C = cdf(family, param, g[i:i + k + 1, None], g)
+        C = _lattice_cdf(gen, g, terms, i, i + k + 1)
         if i == 0:
             row_0 = np.abs(C[0]).max()
         column_0.append(np.abs(C[:, 0]).max())

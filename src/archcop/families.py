@@ -22,7 +22,9 @@ Each kind is the only code that knows its formulas: the generator and its
 inverse with their derivatives, and the compositions of the copula built
 from them, C(u, v) = psi(phi(u) + phi(v)), dC/du = psi'(...) * phi'(u) and
 c(u, v) = psi''(...) * phi'(u) * phi'(v), with the conditional inverse
-that solves dC/du(u, v) = q for v.
+that solves dC/du(u, v) = q for v.  The compositions are separable: each
+takes the terms ``axis(u)`` and ``axis(v)`` of its two coordinates, so a
+lattice computes each coordinate's term once, not once per point.
 
 The kind's methods are unchecked formulas for interior points.  The public
 phi, psi and their derivatives, and the audit of the generator conditions,
@@ -93,9 +95,9 @@ class LogPower(NamedTuple):
     are (sign, ln|value|) of phi' and phi''; these neither under- nor
     overflow where the values themselves do.
 
-    The compositions are the Gumbel closed forms in log space: with
-    x = -ln u, y = -ln v, big = max(x, y), r = min(x, y)/big and
-    w = big*(1 + r**p)**(1/p),
+    The compositions are the Gumbel closed forms in log space.  They take
+    the axis terms x = -ln u and y = -ln v (``axis``); with
+    big = max(x, y), r = min(x, y)/big and w = big*(1 + r**p)**(1/p),
 
         C(u, v) = exp(-w)
         dC/du   = exp(x - w) * (x/w)**(p-1)
@@ -173,26 +175,27 @@ class LogPower(NamedTuple):
     def ratio(self, z):
         return z * np.log(z) / self.p
 
-    def _w(self, u, v):
-        """x, y and w = (x**p + y**p)**(1/p), factored by the larger term,
-        which keeps the sum finite where x**p or y**p leaves the double
-        range."""
-        x = -np.log(u)
-        y = -np.log(v)
+    def axis(self, z):
+        """x = -ln z, a coordinate's term in the compositions."""
+        return -np.log(z)
+
+    def _w(self, x, y):
+        """w = (x**p + y**p)**(1/p), factored by the larger term, which
+        keeps the sum finite where x**p or y**p leaves the double range."""
         big = np.maximum(x, y)
         r = np.minimum(x, y) / big
-        return x, y, big * np.exp(np.log1p(r**self.p) / self.p)
+        return big * np.exp(np.log1p(r**self.p) / self.p)
 
-    def cdf(self, u, v):
-        return np.exp(-self._w(u, v)[2])
+    def cdf(self, x, y):
+        return np.exp(-self._w(x, y))
 
-    def partial_u(self, u, v):
-        x, _, w = self._w(u, v)
+    def partial_u(self, x, y):
+        w = self._w(x, y)
         return np.exp(x - w) * (x / w) ** (self.p - 1.0)
 
-    def density(self, u, v):
+    def density(self, x, y):
         p = self.p
-        x, y, w = self._w(u, v)
+        w = self._w(x, y)
         # one exp of the summed logs, as its two factors can leave the double range
         with np.errstate(over="ignore"):  # c itself is past the double range
             return np.exp(x + y - w + (p - 1.0) * np.log((x / w) * (y / w))) * (1.0 + (p - 1.0) / w)
@@ -225,19 +228,20 @@ def _frailty_s(z):
                     np.sqrt(1.0 + 24.0 / np.maximum(z, 1e-300)))
 
 
-def _frailty_half_s_minus_5(z):
+def _frailty_half_s_minus_5(z, s):
     """(s - 5)/2 = 12(1 - z)/(z(s + 5)) on (0, 1), s = ``_frailty_s(z)``:
     the direct difference cancels as z -> 1, this form does not."""
-    return 12.0 * (1.0 - z) / (z * (_frailty_s(z) + 5.0))
+    return 12.0 * (1.0 - z) / (z * (s + 5.0))
 
 
 class Frailty(NamedTuple):
     """phi(z) = (a/2)*(sqrt(1 + 24/z) - 5) of family f3; interior points only.
 
     The copula does not depend on a, so every composition is taken at
-    a = 1 and never reads ``self.a``: the cdf composes psi(phi(u) + phi(v))
-    at a = 1, and dC/du and the density are closed forms in
-    s = sqrt(1 + 24/z) (``_frailty_s``) and S = s_u + s_v,
+    a = 1 and never reads ``self.a``.  A coordinate's term ``axis(z)`` is
+    s = sqrt(1 + 24/z) (``_frailty_s``) stacked over phi(z) at a = 1: the
+    cdf composes psi(phi(u) + phi(v)) at a = 1, and dC/du and the density
+    are closed forms in s and S = s_u + s_v,
 
         dC/du   = (S-5)/s_u * [(s_u-1)/(S-6) * (s_u+1)/(S-4)]**2
         c(u, v) = (3(S-5)**2 + 1)/48 * [(s_u**2-1)(s_v**2-1)]**2
@@ -262,7 +266,7 @@ class Frailty(NamedTuple):
     # z -> 1, where 1 - z is exact
     def phi(self, z):
         with np.errstate(over="ignore"):  # past the double range phi is inf
-            return self.a * _frailty_half_s_minus_5(z)
+            return self.a * _frailty_half_s_minus_5(z, _frailty_s(z))
 
     # phi' = -6a/(z**2 s) and phi'' = 12a(z + 18)/(z**3 s (z + 24)), with
     # z divided out one factor at a time: z*s = sqrt(z*z + 24z) stays a
@@ -275,7 +279,7 @@ class Frailty(NamedTuple):
         return 12.0 * self.a / (z * _frailty_s(z)) * ((z + 18.0) / (z + 24.0)) / z / z
 
     def log_phi(self, z):
-        return np.log(self.a) + np.log(_frailty_half_s_minus_5(z))
+        return np.log(self.a) + np.log(_frailty_half_s_minus_5(z, _frailty_s(z)))
 
     def log_phi_prime(self, z):
         a = self.a
@@ -327,19 +331,22 @@ class Frailty(NamedTuple):
         s = _frailty_s(z)
         return -2.0 * (1.0 - z) * (s * z) / (s + 5.0)
 
-    def cdf(self, u, v):
-        one = Frailty(1.0)
-        return one.psi(one.phi(u) + one.phi(v))
+    def axis(self, z):
+        s = _frailty_s(z)
+        return np.stack((s, _frailty_half_s_minus_5(z, s)))
 
-    def partial_u(self, u, v):
-        su = _frailty_s(u)
-        ss = su + _frailty_s(v)
+    def cdf(self, tu, tv):
+        return Frailty(1.0).psi(tu[1] + tv[1])
+
+    def partial_u(self, tu, tv):
+        su = tu[0]
+        ss = su + tv[0]
         au = (su - 1.0) / (ss - 6.0)
         bu = (su + 1.0) / (ss - 4.0)
         return (ss - 5.0) / su * au * bu * (au * bu)
 
-    def density(self, u, v):
-        su, sv = _frailty_s(u), _frailty_s(v)
+    def density(self, tu, tv):
+        su, sv = tu[0], tv[0]
         ss = su + sv
         # (3(S-5)**2 + 1)/((S-6)(S-4)) = 3 + 4/((S-6)(S-4)), and
         # (s**2 - 1)/s = s - 1/s; each group below, and each partial

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import archcop as ac
+from archcop.copula import _lattice_cdf
 from archcop.families import generator
 from oracles import central_mixed_second, f3_mp, f3_reduced_cdf, reference_gumbel_cdf
 from test_families import ALL_CASES
+from test_log_power import log_uniform
 
 INTERIOR = np.linspace(0.02, 0.98, 51)
 
@@ -208,7 +210,8 @@ class TestF3ClosedForms:
         L = -np.log(rng.random(10_000) * (1.0 - 2e-15) + 1e-15)
         g, one = generator("f3", a), generator("f3", 1.0)
         for name in ("cdf", "partial_u", "density"):
-            assert np.array_equal(getattr(g, name)(u, v), getattr(one, name)(u, v)), name
+            got = getattr(g, name)(g.axis(u), g.axis(v))
+            assert np.array_equal(got, getattr(one, name)(one.axis(u), one.axis(v))), name
         assert np.array_equal(g.conditional_v(u, L), one.conditional_v(u, L))
 
     @pytest.mark.parametrize("u", [1e-310, 1e-300, 1e-200, 1e-160])
@@ -275,3 +278,36 @@ def test_edge_is_min_on_mixed_arrays(family, param):
         square = fn(family, param, u[-6:].reshape(2, 3), v[-6:].reshape(2, 3))
         assert square.shape == (2, 3) and square.tobytes() == got[-6:].tobytes()
         assert fn(family, param, np.array([]), np.array([])).shape == (0,)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)  # -0.0 and each NaN count
+
+
+@given(case=st.one_of(
+           st.tuples(st.sampled_from(["f1", "f2"]),
+                     st.one_of(log_uniform(1e-3, 1.0), st.floats(1e-3, 1.0))),
+           st.tuples(st.just("gumbel"), st.one_of(log_uniform(1.0, 1e300), st.floats(1.0, 1e3))),
+           st.tuples(st.just("f3"), st.one_of(log_uniform(5e-324, 1.7e308),
+                                              st.floats(5e-324, 1e3))),
+           st.just(("independence", None))),
+       n=st.sampled_from([2, 3, 4, 7, 50]))
+@settings(max_examples=150, deadline=None)
+def test_lattice_rows_are_cdf_and_density_bitwise(case, n):
+    """The rows that the grid and the audit compose from each coordinate's
+    axis term once, one at a time and in strips, hold the bits ``cdf`` and
+    ``density`` give point by point."""
+    family, param = case
+    g = generator(family, param)
+    pts = np.linspace(0.0, 1.0, n + 1)
+    terms = g.axis(pts[1:-1])
+    want = bits([ac.cdf(family, param, u, pts) for u in pts])
+    rows = [_lattice_cdf(g, pts, terms, i, i + 1)[0] for i in range(n + 1)]
+    assert np.array_equal(bits(rows), want)
+    for k in (2, 3, n + 1):  # strips of k rows, the last one shorter or whole
+        strips = [_lattice_cdf(g, pts, terms, i, i + k) for i in range(0, n + 1, k)]
+        assert np.array_equal(bits(np.concatenate(strips)), want)
+    mid = (np.arange(n) + 0.5) / n
+    terms = g.axis(mid)
+    rows = [g.density(terms[..., i : i + 1], terms) for i in range(n)]
+    assert np.array_equal(bits(rows), bits([ac.density(family, param, u, mid) for u in mid]))

@@ -63,8 +63,8 @@ class TestLatticeStrips:
         k = {"one-row": 1, "partial-last": 2 if grid_n % 2 else 3, "single": grid_n}[strips]
         monkeypatch.setattr(diagnostics, "BLOCK", (k * (grid_n + 1) + 1) // 2)
         calls = []
-        cdf = diagnostics.cdf
-        monkeypatch.setattr(diagnostics, "cdf", lambda *a: calls.append(a) or cdf(*a))
+        strip = diagnostics._lattice_cdf
+        monkeypatch.setattr(diagnostics, "_lattice_cdf", lambda *a: calls.append(a) or strip(*a))
         got = ac.grid_validity_report(family, param, grid_n).to_json()
         assert len(calls) == -(-grid_n // k)
         assert got == grid_validity_report_whole(family, param, grid_n).to_json()
@@ -78,6 +78,18 @@ class TestLatticeStrips:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20  # the whole 2001**2 lattice took 278 MiB
+
+    def test_working_set_at_1000(self):
+        # 451 KiB (numpy 2.4), 736 KiB when each strip recomputed both
+        # coordinates' terms at every point through the public cdf
+        ac.grid_validity_report("f1", 0.3, 10)  # one-time set-up outside the trace
+        tracemalloc.start()
+        try:
+            ac.grid_validity_report("f1", 0.3, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 600 * 2**10
 
 
 class TestSingularityLimit:

@@ -274,6 +274,44 @@ class TestCorners:
                 assert abs(inside.mean() - mass) <= 4.0 * se
 
 
+class TestKendallDistribution:
+    """W = C(U, V) of an Archimedean copula's pairs has the distribution
+    K(t) = t - phi(t)/phi'(t) (Genest and Rivest 1993), which the kind's
+    ``ratio`` gives; copulas of equal tau differ in it, so it checks the
+    samplers' joint law, not only margins, tau and corners."""
+
+    @staticmethod
+    def ks_distance(family, param, pairs):
+        w = np.sort(ac.cdf(family, param, pairs[:, 0], pairs[:, 1]))
+        k = w - generator(family, param).ratio(w)
+        n = len(w)
+        return max((np.arange(1, n + 1) / n - k).max(), (k - np.arange(n) / n).max())
+
+    @pytest.mark.parametrize("family,param,method", [
+        ("f1", 0.25, "conditional"), ("f1", 1e-3, "conditional"),
+        ("f2", 0.6, "conditional"), ("f2", 1e-3, "conditional"),
+        ("gumbel", 1.5, "conditional"), ("gumbel", 1e3, "conditional"),
+        ("independence", None, "conditional"),
+        ("f3", 2.0, "conditional"), ("f3", 2.0, "frailty"),
+    ])
+    def test_w_follows_k(self, family, param, method):
+        n = 200_000
+        if method == "frailty":
+            batch = ac.sample_frailty_copula(param, n, 2026)
+        else:
+            batch = ac.sample_conditional(family, param, n, 2026)
+        # 1.95/sqrt(n) is the KS critical value at a level of about 1e-3
+        assert self.ks_distance(family, param, batch.pairs) <= 1.95 / math.sqrt(n)
+
+    def test_tells_copulas_of_equal_tau_apart(self):
+        # f3 pairs against the Gumbel of the same tau
+        n = 20_000
+        pairs = ac.sample_frailty_copula(2.0, n, 2026).pairs
+        theta = 1.0 / (1.0 - families.F3_TAU)
+        assert ac.kendall_tau_closed("gumbel", theta).tau == pytest.approx(families.F3_TAU)
+        assert self.ks_distance("gumbel", theta, pairs) > 1.95 / math.sqrt(n)
+
+
 class TestBlocks:
     """Sampling ``BLOCK`` rows at a time gives the whole batch's pairs."""
 

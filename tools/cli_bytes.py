@@ -9,14 +9,15 @@ command of a fixed list runs once under each tree, as
 ``python -m archcop.cli ...`` with that tree on PYTHONPATH and no bytecode
 written, from one scratch directory, so both runs get the same argv.  The
 list covers the help texts of the command and of each subcommand,
-``--version``, a ``grid`` with no ``--family`` and a 1000**2 cdf grid
-written to standard output; for every family at ordinary and extreme
-parameters: eval inside the unit square and on its edge (0, -0.0, 1,
-1e-310), small cdf, pdf and generator grids, cdf and pdf grids whose axis
-texts differ in length, generator grids on either side of their block,
-check on a small lattice and on one that ends in a partial strip, tau by
-every method and sample by both methods, at sizes on either side of the
-samplers' block; eval outside the domain (u at -0.1, 1.5 and nan, each
+``--version``, a ``grid`` with no ``--family``, 1000**2 lattices of both
+generator kinds (an ``f3`` cdf grid written to standard output, gumbel
+and ``f3`` pdf grids, and check on f1 and ``f3``); for every family at
+ordinary and extreme parameters: eval inside the unit square and on its
+edge (0, -0.0, 1, 1e-310), small cdf, pdf and generator grids, cdf and
+pdf grids whose axis texts differ in length, generator grids on either
+side of their block, check on a small lattice and on one that ends in a
+partial strip, tau by every method and sample by both methods, at sizes
+on either side of the samplers' block; eval outside the domain (u at -0.1, 1.5 and nan, each
 family's parameter just outside each end of its interval and at nan and
 +-inf, and a parameter flag the family does not take); ``tau --method mc``
 on stdin fixtures whose fault or layout lies past the stdin reader's first
@@ -76,8 +77,12 @@ def fixed_commands(work: Path):
         yield None, [*argv, "--help"], None
     yield None, ["--version"], None
     yield None, ["grid", "--what", "cdf", "--grid-n", "4"], None
-    # a 1000**2 lattice, written to standard output
+    # 1000**2 lattices of both kinds, the first written to standard output
     yield None, ["grid", "--family", "f3", "--alpha", "2", "--what", "cdf", "--grid-n", "1000"], None
+    for fam in (["--family", "gumbel", "--theta", "2.5"], ["--family", "f3", "--alpha", "2"]):
+        yield None, ["grid", *fam, "--what", "pdf", "--grid-n", "1000", "--out", out], out
+    for fam in (["--family", "f1", "--alpha", "0.3"], ["--family", "f3", "--alpha", "2"]):
+        yield None, ["check", *fam, "--grid-n", "1000"], None
     for fixture in stdin_fixtures():
         yield fixture, ["tau", "--method", "mc"], None
     # "--flag=value", as argparse takes a separate "-5e-324" for an option
